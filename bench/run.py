@@ -11,7 +11,7 @@ the held-out rows with whole-matrix and with single-row ``predict_marginals``
 calls, and checks the outputs. The last line of standard output is one JSON
 object: ``correct``, ``attempted``, ``failed`` and ``metrics``. With
 ``--trace 0`` the metrics are the end-to-end ones in ``BENCHMARK.json``, the
-timed ones in reference time (see ``REFERENCE_PROBE_S``); with ``--trace 1``
+timed ones and ``setup_s`` in reference time (see ``REFERENCE_PROBE_S``); with ``--trace 1``
 they are the per-layer ones, taken from spans the benchmark records around
 the library's public functions. Details land in ``bench/out/``.
 
@@ -20,6 +20,7 @@ The library is timed from outside: no file under ``src/efy`` is changed.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import math
@@ -57,15 +58,18 @@ MATRIX_SHARE = 0.15
 SINGLE_SHARE = 0.25
 
 # The shared machines this runs on change speed by up to 1.7x from one
-# stretch of seconds to the next, for all code alike. A fixed pure-Python
-# loop, timed between measured calls, tracks that speed, and the timed
-# end-to-end metrics are reported in reference time: wall time scaled by
-# REFERENCE_PROBE_S / (probe time around the call). REFERENCE_PROBE_S is the
-# probe's median on the 2-core Xeon (Python 3.11) this benchmark was written
-# on, so reference and wall time agree there on a quiet machine.
-PROBE_LOOPS = 100_000
+# stretch of seconds to the next, for all code alike. A fixed loop of small
+# numpy steps, like the library's own per-row work and timed between measured
+# calls, tracks that speed (on a 2-core Xeon it followed the time of
+# single-row predictions more closely than a pure-Python loop did), and the
+# timed end-to-end metrics and setup_s are reported in reference time: wall
+# time scaled by REFERENCE_PROBE_S / (probe time around the call).
+# REFERENCE_PROBE_S is the probe's time on the 2-core Xeon (Python 3.11,
+# numpy 2.4) this benchmark was written on when quiet, so reference and wall
+# time agree there.
+PROBE_LOOPS = 1000
 REFERENCE_PROBE_S = 0.006
-PROBE_EVERY_S = 0.05  # single-row calls between two probes
+PROBE_EVERY_S = 0.05  # measured time between two probes
 
 LOSS_TOL = 1e-6  # |generalized loss at y = p*|
 ARGMAX_TOL = 1e-6  # max-norm distance to the reference argmax
@@ -147,11 +151,13 @@ def load_efy() -> tuple[SimpleNamespace, float]:
 
 
 def probe() -> float:
-    """Seconds of a fixed pure-Python loop: the machine's current speed."""
+    """Seconds of a fixed loop of small numpy steps: the machine's current speed."""
+    import numpy as np
+
+    a, y = np.linspace(-1.0, 1.0, 25).reshape(5, 5), np.linspace(0.0, 1.0, 5)
     start = perf_counter()
-    x = 0
-    for i in range(PROBE_LOOPS):
-        x += i * i
+    for _ in range(PROBE_LOOPS):
+        y = np.clip(a @ y + 0.1, -1.0, 1.0) * 0.5
     return perf_counter() - start
 
 
@@ -168,18 +174,67 @@ class Clock:
         self.last = now
         return factor
 
+    def measure(self, call, inner: tuple[object, str] | None = None):
+        """Runs ``call()``; returns its result and the wall and reference seconds it took.
+
+        ``inner`` names a ``(module, attribute)`` function that ``call`` makes
+        many short calls to. It is wrapped while ``call`` runs, so the clock
+        also probes every ``PROBE_EVERY_S`` inside one long call and leaves
+        the probes' own time out. If the module has no such function, or
+        ``call`` never reaches it, the probes around the whole call scale it.
+        """
+        wall = ref = 0.0
+        self.start()
+        mark = perf_counter()
+
+        def lap() -> None:
+            nonlocal wall, ref, mark
+            took = perf_counter() - mark
+            wall += took
+            ref += took * self.scale()
+            mark = perf_counter()
+
+        if inner is None or not hasattr(*inner):
+            out = call()
+        else:
+            module, attr = inner
+            original = getattr(module, attr)
+
+            @functools.wraps(original)
+            def probing(*args, **kwargs):
+                result = original(*args, **kwargs)
+                if perf_counter() - mark > PROBE_EVERY_S:
+                    lap()
+                return result
+
+            setattr(module, attr, probing)
+            try:
+                out = call()
+            finally:
+                setattr(module, attr, original)
+        lap()
+        return out, wall, ref
+
 
 @dataclass
 class Ledger:
-    """Operations attempted and the problems found with them."""
+    """Operations attempted and the problems found with them.
+
+    An operation is a data set's training (all its repeats), a data set's
+    prediction (every whole-matrix and single-row call) or one checked row,
+    so the count does not depend on how fast the calls run.
+    """
 
     attempted: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def record(self, what: str, problem: str | None) -> None:
+    def record(self, what: str, problems: list[str | None]) -> None:
+        """One operation, failed if any of its ``problems`` is set."""
         self.attempted += 1
-        if problem:
-            self.failures.append(f"{what}: {problem}")
+        found = [p for p in problems if p]
+        if found:
+            more = f" (and {len(found) - 1} more problems)" if len(found) > 1 else ""
+            self.failures.append(f"{what}: {found[0]}{more}")
 
 
 @dataclass
@@ -264,25 +319,23 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, shape: Shape
 
     wl = WORKLOADS[name]
     lib, import_s = load_efy()
+    clock = Clock()
+    clock.start()  # the probe needs numpy, so it can only follow the import
+    import_ref_s = import_s * REFERENCE_PROBE_S / clock.last
     tracer = Tracer() if trace else None
     ledger = Ledger()
     rng = np.random.default_rng(seed)
     share = seconds / shape.datasets
-    clock = Clock()
-    setup_times, accuracies, latencies, latencies_ref, rounds = [], [], [], [], []
+    setup_times, accuracies, rounds = [], [], []
     trained = [0, 0.0, 0.0]  # sample-epochs, wall seconds, reference seconds (untraced training)
     traced_train = [0.0, 0.0]  # wall seconds of the traced runs, of the untraced runs before them
     matrix = [0, 0.0, 0.0]  # rows, wall seconds, reference seconds
 
-    def train_once(ds: DataSet, i: int) -> float:
-        start = perf_counter()
+    def train_once(ds: DataSet) -> str | None:
         try:
             rep = lib.training.train(ds.model, ds.reg, ds.train, ds.cfg)
         except lib.exceptions.TrainingDivergence as exc:
-            took = perf_counter() - start
-            ledger.record(f"training on data set {i}", f"raised {exc!r}")
-            return took
-        took = perf_counter() - start
+            return f"raised {exc!r}"
         problem = None
         if not all(math.isfinite(v) for v in rep.train_loss):
             problem = "non-finite training loss"
@@ -290,25 +343,26 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, shape: Shape
             problem = "a repeated run gave a different loss trajectory"
         if ds.params is None:
             ds.params, ds.losses = rep.params, rep.train_loss
-        ledger.record(f"training on data set {i}", problem)
-        return took
+        return problem
 
-    def predict_matrix(ds: DataSet, i: int) -> float:
-        start = perf_counter()
+    def predict_matrix(ds: DataSet) -> str | None:
         try:
             ds.predicted = lib.training.predict_marginals(ds.model, ds.params, ds.reg, ds.test.X)
-            problem = None
         except lib.errors as exc:
-            ds.predicted, problem = np.full((ds.test.n, shape.k), np.nan), f"raised {exc!r}"
-        took = perf_counter() - start
-        ledger.record(f"whole-matrix prediction on data set {i}", problem or marginals_problem(ds.predicted, ds.test.n, shape.k))
-        return took
+            ds.predicted = np.full((ds.test.n, shape.k), np.nan)
+            return f"whole matrix raised {exc!r}"
+        return marginals_problem(ds.predicted, ds.test.n, shape.k)
+
+    # Long calls are also probed between the short library calls they make
+    # many of, so a slow spell inside one call does not skew it. Traced runs
+    # leave these probes out, so that they stay out of the spans.
+    def inner(module, attr: str) -> tuple[object, str] | None:
+        return None if tracer else (module, attr)
 
     for i in range(shape.datasets):
         data_seed = shape.datasets * seed + i
         # ---------------------------------------------------------- set-up
-        with phase(tracer, "run.setup"):
-            start = perf_counter()
+        def set_up():
             full = lib.data.planted_pairwise(
                 shape.n, shape.d, shape.k, seed=data_seed,
                 coupling=shape.coupling, unary_scale=shape.unary_scale, gamma=shape.gamma,
@@ -316,8 +370,11 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, shape: Shape
             tr, te = lib.data.split(full, (0.75, 0.25), seed=data_seed)
             tr, te, _ = lib.data.standardize(tr, te)
             model = lib.models.make_model(wl.architecture, shape.d, shape.k, hidden=shape.hidden)
-            reg = lib.regularizers.GiniBinary(shape.gamma, shape.k)
-            setup_times.append(perf_counter() - start)
+            return tr, te, model, lib.regularizers.GiniBinary(shape.gamma, shape.k)
+
+        with phase(tracer, "run.setup"):
+            (tr, te, model, reg), _, took = clock.measure(set_up, inner(lib.data, "coordinate_ascent_box_quadratic"))
+            setup_times.append(took)
         extra = {"solver": lib.conjugate.SolverConfig(**wl.solver)} if wl.solver else {}
         cfg = lib.training.TrainConfig(
             loss=wl.loss, epochs=wl.epochs, batch_size=shape.batch_size,
@@ -326,32 +383,37 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, shape: Shape
         ds = DataSet(tr, te, model, reg, cfg)
 
         # -------------------------------------------------------- training
-        before = (trained[:], matrix[:], len(latencies))
-        clock.start()
+        before = (trained[:], matrix[:])
+        problems = []
         start = perf_counter()
         while True:
-            took = train_once(ds, i)
+            problem, took, ref = clock.measure(lambda: train_once(ds), inner(lib.training, "batch_gradient"))
+            problems.append(problem)
             trained[0] += ds.train.n * wl.epochs
             trained[1] += took
-            trained[2] += took * clock.scale()
+            trained[2] += ref
             if tracer is not None or perf_counter() - start + took > TRAIN_SHARE * share:
                 break
         if tracer is not None:
             with phase(tracer, "run.train"):
-                traced_train[0] += train_once(ds, i)
+                traced = perf_counter()
+                problems.append(train_once(ds))
+                traced_train[0] += perf_counter() - traced
             traced_train[1] += took
+        ledger.record(f"training on data set {i}", problems)
         if ds.params is None:  # training failed; predict with the initial parameters
             ds.params = ds.model.init_params(data_seed)
 
         # ------------------------------------------------------ prediction
-        singles, expected = [], []
+        singles, expected, problems, lat, lat_ref = [], [], [], [], []
         with phase(tracer, "run.predict"):
             start = perf_counter()
             while True:
-                took = predict_matrix(ds, i)
+                problem, took, ref = clock.measure(lambda: predict_matrix(ds), inner(lib.training, "conjugate"))
+                problems.append(problem)
                 matrix[0] += ds.test.n
                 matrix[1] += took
-                matrix[2] += took * clock.scale()
+                matrix[2] += ref
                 if tracer is not None or perf_counter() - start + took > MATRIX_SHARE * share:
                     break
             start = perf_counter()
@@ -369,49 +431,51 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, shape: Shape
                     try:
                         out = lib.training.predict_marginals(ds.model, ds.params, ds.reg, ds.test.X[row : row + 1])
                     except lib.errors as exc:
-                        ledger.record(f"single-row prediction of row {row}", f"raised {exc!r}")
+                        problems.append(f"single-row call on row {row} raised {exc!r}")
                     else:
                         chunk.append(perf_counter() - t0)
                         singles.append(out)
                         expected.append(ds.predicted[row])
                     r += 1
                 factor = clock.scale()
-                latencies.extend(chunk)
-                latencies_ref.extend(t * factor for t in chunk)
+                lat.extend(chunk)
+                lat_ref.extend(t * factor for t in chunk)
         for out, want in zip(singles, expected):
             problem = marginals_problem(out, 1, shape.k)
             if problem is None and float(np.max(np.abs(out[0] - want))) > ROW_MATCH_TOL:
-                problem = "differs from the whole-matrix prediction of the same row"
-            ledger.record("single-row prediction", problem)
-        lat, lat_ref = np.array(latencies[before[2]:]), np.array(latencies_ref[before[2]:])
+                problem = "a single-row call differs from the whole-matrix prediction of the same row"
+            problems.append(problem)
+        ledger.record(f"prediction on data set {i}", problems)
         samples, predicted_rows = trained[0] - before[0][0], matrix[0] - before[1][0]
         rounds.append({
-            "setup_s": setup_times[-1],
+            "setup_ref_s": setup_times[-1],
             "train_samples_per_wall_s": samples / (trained[1] - before[0][1]),
             "train_samples_per_ref_s": samples / (trained[2] - before[0][2]),
             "predict_rows_per_wall_s": predicted_rows / (matrix[1] - before[1][1]),
             "predict_rows_per_ref_s": predicted_rows / (matrix[2] - before[1][2]),
-            "predict1_wall_us_p50_p99": (1e6 * np.percentile(lat, [50, 99])).tolist(),
-            "predict1_ref_us_p50_p99": (1e6 * np.percentile(lat_ref, [50, 99])).tolist(),
-            "single_row_calls": int(lat.size),
+            "predict1_wall_us_p50_p99": (1e6 * np.percentile(lat, [50, 99])).tolist() if lat else [math.nan] * 2,
+            "predict1_ref_us_p50_p99": (1e6 * np.percentile(lat_ref, [50, 99])).tolist() if lat else [math.nan] * 2,
+            "single_row_calls": len(lat),
         })
 
         # ---------------------------------------------------- output check
         with phase(tracer, "run.check"):
             rows = rng.choice(ds.test.n, size=min(shape.check_rows, ds.test.n), replace=False)
             for row in rows:
-                ledger.record(f"check of row {row} of data set {i}", check_row(lib, ds, ds.test.X[row], ds.predicted[row]))
+                ledger.record(f"check of row {row} of data set {i}", [check_row(lib, ds, ds.test.X[row], ds.predicted[row])])
             accuracies.append(lib.training.evaluate_accuracy(ds.model, ds.params, ds.reg, ds.test))
 
     if tracer is None:
-        p50, p99 = 1e6 * np.percentile(latencies_ref, [50, 99]) if latencies_ref else (math.nan, math.nan)
+        # Percentiles per data set, then their median: one slow spell of the
+        # machine lifts the pooled tail of the whole run, but only one of these.
+        p50, p99 = (statistics.median(r["predict1_ref_us_p50_p99"][j] for r in rounds) for j in (0, 1))
         metrics = {
             "train_samples_per_s": trained[0] / trained[2],
             "predict_rows_per_s": matrix[0] / matrix[2],
             "predict1_us_p50": float(p50),
             "predict1_us_p99": float(p99),
             "test_accuracy": statistics.fmean(accuracies),
-            "setup_s": import_s + statistics.median(setup_times),
+            "setup_s": import_ref_s + statistics.median(setup_times),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "ok_frac": 1.0 - len(ledger.failures) / ledger.attempted,
         }
@@ -422,7 +486,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, shape: Shape
         "metrics": metrics,
         "attempted": ledger.attempted,
         "failures": ledger.failures,
-        "single_row_calls": len(latencies),
+        "single_row_calls": sum(r["single_row_calls"] for r in rounds),
         "rounds": rounds,
         "tracer": tracer,
     }

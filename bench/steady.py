@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Steadiness report: two sets of untraced runs of the same code, compared.
 
-    python3 bench/steady.py --runs 10 [--sets 1] [--workloads unary-gfy pairwise-gfy]
+    python3 bench/steady.py
 
-Set A uses seeds ``0 .. runs-1`` and set B seeds ``runs .. 2*runs-1``, one
-``bench/run.py`` process at a time. For each workload and end-to-end metric it
-prints each set's median and quartiles (``statistics.quantiles(n=4)``), the
-spread (quartile distance over the median) and whether the sets agree: every
-spread except ``setup_s``'s within the metric's bound, and set B's median not
-worse than set A's by more than the bound. ``--sets 1`` runs set A alone.
-Raw values go to ``bench/out/steady.json``. The exit code is 1 when a run
-fails or a comparison does not hold.
+For every workload in ``BENCHMARK.json``, set A uses seeds ``0 .. 9`` and set B
+seeds ``10 .. 19``, one ``bench/run.py`` process at a time. For each workload
+and end-to-end metric it prints each set's median and quartiles
+(``statistics.quantiles(n=4)``), the spread (quartile distance over the
+median) and whether the sets agree: every spread within the metric's bound,
+and the two medians apart by no more than the bound, in either direction, as
+a share of set A's. Raw values go to ``bench/out/steady.json``. The exit code
+is 1 when a run fails or a comparison does not hold.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -23,6 +22,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+RUNS = 10  # per set
 
 
 def run_once(workload: str, seed: int, seconds: int) -> dict:
@@ -42,26 +42,17 @@ def summary(values: list[float]) -> tuple[float, float, float, float]:
     return med, q1, q3, (q3 - q1) / abs(med)
 
 
-def main(argv=None) -> int:
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, choices=(1, 2), default=2)
-    ap.add_argument("--workloads", nargs="+", choices=names, default=names)
-    args = ap.parse_args(argv)
-    if args.runs < 2:
-        ap.error("--runs must be at least 2 to give quartiles")
-
     raw: dict = {}
     ok = True
-    for wl in args.workloads:
+    for wl in (w["name"] for w in spec["workloads"]):
         raw[wl] = []
-        for s in range(args.sets):
-            seeds = range(s * args.runs, (s + 1) * args.runs)
+        for s in range(2):
+            seeds = range(s * RUNS, (s + 1) * RUNS)
             raw[wl].append([run_once(wl, seed, spec["run_seconds"]) for seed in seeds])
             print(f"{wl}: set {'AB'[s]} done", file=sys.stderr, flush=True)
-        print(f"\n{wl} ({args.runs} runs per set)")
+        print(f"\n{wl} ({RUNS} runs per set)")
         for m in spec["end_to_end"]:
             name, bound = m["name"], m["bound"]
             line = f"  {name:<22}"
@@ -69,14 +60,13 @@ def main(argv=None) -> int:
             for s, runs in enumerate(raw[wl]):
                 med, q1, q3, spread = summary([r[name] for r in runs])
                 medians.append(med)
-                spread_ok = name == "setup_s" or spread <= bound
+                spread_ok = spread <= bound
                 ok &= spread_ok
                 line += f" {'AB'[s]}: {med:12.6g} [{q1:.6g}, {q3:.6g}] spread {spread:6.2%}{'' if spread_ok else '!'}"
-            if len(medians) == 2:
-                worse = (medians[0] - medians[1] if m["better"] == "higher" else medians[1] - medians[0]) / abs(medians[0])
-                agree = worse <= bound
-                ok &= agree
-                line += f"  B worse by {worse:+.2%} (bound {bound:.0%}): {'agree' if agree else 'DISAGREE'}"
+            apart = (medians[1] - medians[0]) / abs(medians[0])
+            agree = abs(apart) <= bound
+            ok &= agree
+            line += f"  B - A {apart:+.2%} (bound {bound:.0%}): {'agree' if agree else 'DISAGREE'}"
             print(line, flush=True)
     out = HERE / "out" / "steady.json"
     out.parent.mkdir(exist_ok=True)
