@@ -30,7 +30,6 @@ from .conjugate import (
     conjugate,
     conjugate_with_restarts,
     coordinate_ascent_box_quadratic,
-    envelope_gradient,
     projected_gradient_ascent,
 )
 from .data import (
@@ -70,7 +69,6 @@ from .exceptions import (
 from .losses import (
     LossEval,
     biconjugate,
-    dual_divergence,
     energy_loss,
     fy_loss,
     generalized_bregman,

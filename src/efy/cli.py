@@ -25,6 +25,7 @@ from .calibration import calibration_check, hamming_decode
 from .conjugate import SolverConfig, conjugate
 from .data import MultilabelDataset, parse_libsvm_multilabel, planted_pairwise, split, standardize
 from .energies import (
+    ENERGY_KINDS,
     BilinearEnergy,
     LinQuadInput,
     LinearQuadraticEnergy,
@@ -47,12 +48,16 @@ from .exceptions import (
     UnsupportedOperation,
 )
 from .losses import gfy_loss, input_grad_finite_diff
-from .models import load_params, make_model, save_params
+from .models import ARCHITECTURES, load_params, make_model, save_params
 from .numerics import rel_err, rng_from_seed
 from .regularizers import REGULARIZER_KINDS, box01, make_regularizer, reals
-from .training import TrainConfig, evaluate_accuracy, predict_marginals, train
+from .training import LOSS_KINDS, TrainConfig, evaluate_accuracy, predict_marginals, train
 
 CONFIG_ERROR, DIVERGENCE_ERROR, CHECK_FAILURE = 2, 3, 4
+
+# Raw spen gradcheck draws clear the kink screen about four times in five, so
+# this many failures in a row means the config admits no checkable instance.
+SPEN_SCREEN_MAX_DRAWS = 1000
 
 _SOLVER = {
     "type": "object",
@@ -119,7 +124,7 @@ _MODEL = {
     "additionalProperties": False,
     "required": ["architecture"],
     "properties": {
-        "architecture": {"enum": ["unary", "pairwise", "spen"]},
+        "architecture": {"enum": list(ARCHITECTURES)},
         "hidden": {"type": "integer", "minimum": 1},
         "prior_hidden": {"type": "integer", "minimum": 1},
         "concave": {"type": "boolean"},
@@ -130,7 +135,7 @@ _TRAIN_BLOCK = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "loss": {"enum": ["gfy", "perceptron", "energy", "xent"]},
+        "loss": {"enum": list(LOSS_KINDS)},
         "epochs": {"type": "integer", "minimum": 1},
         "batch_size": {"type": "integer", "minimum": 1},
         "learning_rate": {"type": "number", "exclusiveMinimum": 0},
@@ -174,17 +179,7 @@ SCHEMAS = {
         "required": ["family"],
         "properties": {
             "seed": {"type": "integer"},
-            "family": {
-                "enum": [
-                    "bilinear",
-                    "linear_quadratic",
-                    "pairwise",
-                    "rectifier",
-                    "maxout",
-                    "lse_net",
-                    "spen",
-                ]
-            },
+            "family": {"enum": list(ENERGY_KINDS)},
             "instances": {"type": "integer", "minimum": 1},
             "k": {"type": "integer", "minimum": 1},
             "d": {"type": "integer", "minimum": 1},
@@ -399,6 +394,8 @@ def cmd_eval(args) -> int:
     model, params, header = load_params(params_path)
     ds, dev_ds, test_ds = _prepare_splits(cfg)
     target = test_ds if test_ds is not None else ds
+    if target.n == 0:
+        raise ContractViolation("evaluation set is empty")
     if target.d != model.d or target.k != model.k:
         raise ContractViolation(
             f"dataset is ({target.d} features, {target.k} labels), "
@@ -424,10 +421,12 @@ def _screen_spen(energy, reg, v, y, rng: np.random.Generator, solver: SolverConf
     On a kink the envelope gradient is one-sided and finite differences are
     ill-posed, so those draws say nothing about gradient correctness. Roughly
     a fifth of raw draws land there; the probe solve is capped short because
-    kink-pinned instances are exactly the ones that fail to certify.
+    kink-pinned instances are exactly the ones that fail to certify. After
+    ``SPEN_SCREEN_MAX_DRAWS`` rejected draws it raises
+    :class:`EvaluationError` (exit 3).
     """
     probe = SolverConfig(tol=solver.tol, max_iters=300)
-    while True:
+    for _ in range(SPEN_SCREEN_MAX_DRAWS):
         res = conjugate(energy, reg, v, probe)
         if (
             res.status == "converged"
@@ -437,6 +436,7 @@ def _screen_spen(energy, reg, v, y, rng: np.random.Generator, solver: SolverConf
             return v, y
         v = energy.random_input(rng)
         y = rng.uniform(0.05, 0.95, size=energy.k)
+    raise EvaluationError(f"no spen draw cleared the prior-net kinks in {SPEN_SCREEN_MAX_DRAWS} draws")
 
 
 def _gradcheck_instance(
@@ -445,30 +445,27 @@ def _gradcheck_instance(
     """One random (energy, v, y) triple with kink-avoiding margins."""
     if family == "bilinear":
         energy = BilinearEnergy(rng.standard_normal((d, k)))
-        v = rng.standard_normal(d)
     elif family == "linear_quadratic":
         energy = LinearQuadraticEnergy(k)
-        v = energy.random_input(rng)
     elif family == "pairwise":
         energy = PairwiseEnergy(k)
-        v = energy.random_input(rng)
-        v = PairwiseInput(u=v.u, U=v.U - 0.05 * np.eye(k))  # stay NSD under the FD perturbation
     elif family == "rectifier":
         energy = RectifierEnergy(rng.uniform(0.1, 1.0, size=(d, k)))
-        v = rng.standard_normal(d)
-        v[np.abs(v) < 1e-2] = 1e-2  # keep clear of the relu kink
     elif family == "maxout":
         energy = MaxoutEnergy(d)
-        v = rng.standard_normal(d)
-        v[np.argsort(v)[-1]] += 0.5  # keep the max unique
     elif family == "lse_net":
         energy = LogSumExpEnergy(d, gamma=1.0)
-        v = rng.standard_normal(d)
     elif family == "spen":
         energy = SpenEnergy(k, hidden=3, concave=True)
-        v = energy.random_input(rng)
     else:
         raise ContractViolation(f"unknown gradcheck family {family!r}")
+    v = energy.random_input(rng)
+    if family == "pairwise":
+        v = PairwiseInput(u=v.u, U=v.U - 0.05 * np.eye(k))  # stay NSD under the FD perturbation
+    elif family == "rectifier":
+        v[np.abs(v) < 1e-2] = 1e-2  # keep clear of the relu kink
+    elif family == "maxout":
+        v[np.argsort(v)[-1]] += 0.5  # keep the max unique
 
     if family == "linear_quadratic":
         reg = make_regularizer("squared_l2", k, gamma=gamma, domain=reals(k))

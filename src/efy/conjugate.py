@@ -2,7 +2,8 @@
 
 The oracle dispatches to the cheapest faithful solver:
 
-1. energies linear in ``p`` -> the regularizer's own closed-form map,
+1. energies declaring ``p_structure == "linear"`` (``Phi = <linear_score(v), p>``)
+   -> the regularizer's own closed-form map,
 2. linear-quadratic + squared L2 over R^k -> one SPD solve,
 3. pairwise + quadratic negentropy over the box -> coordinate ascent,
 4. anything else -> projected gradient ascent with Armijo backtracking.
@@ -19,15 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .energies import (
-    BilinearEnergy,
-    Energy,
-    LinearQuadraticEnergy,
-    LogSumExpEnergy,
-    MaxoutEnergy,
-    PairwiseEnergy,
-    RectifierEnergy,
-)
+from .energies import Energy, LinearQuadraticEnergy, PairwiseEnergy
 from .exceptions import (
     ContractViolation,
     DivergenceError,
@@ -40,8 +33,6 @@ from .regularizers import GiniBinary, Regularizer, SquaredL2
 
 MAX_LINE_SEARCH_SHRINKS = 50
 OBJECTIVE_CAP = 1e14
-
-_LINEAR_IN_P = (BilinearEnergy, RectifierEnergy, MaxoutEnergy, LogSumExpEnergy)
 
 
 @dataclass(frozen=True)
@@ -161,11 +152,6 @@ def coordinate_ascent_box_quadratic(
     return p, "max_iters", cfg.max_iters, moved
 
 
-def envelope_gradient(energy: Energy, v, p_star):
-    """``grad_v Phi(v, p*)``: the conjugate's gradient by the envelope theorem."""
-    return energy.grad_v(v, p_star)
-
-
 def _finish(energy: Energy, v, p: np.ndarray, value: float, status: str, iters: int, gap: float) -> ConjugateResult:
     assert_finite(p, "conjugate argmax")
     return ConjugateResult(
@@ -202,7 +188,7 @@ def conjugate(
     coordinate ascent ignore it (their solutions do not depend on the start).
     """
     cfg = cfg or SolverConfig()
-    if isinstance(energy, _LINEAR_IN_P):
+    if energy.p_structure == "linear":
         if reg.domain.dim != energy.k:
             raise ContractViolation("regularizer dimension must match the energy output")
         score = energy.linear_score(v)

@@ -1,23 +1,26 @@
 """Energy couplings ``Phi(v, p)``.
 
-Each energy is a scalar coupling between an input ``v`` (a vector or a small
-structured bundle of arrays) and an output ``p``. It exposes the value and
-both partial gradients, plus a flatten/unflatten pair so generic code
-(finite differences, smoothness probes, training) can treat ``v`` as one
-vector. Structure tags describe curvature:
+Each energy is a scalar coupling between an input ``v`` (a vector or a
+dataclass bundle of arrays) and an output ``p``. It exposes the value and
+both partial gradients. ``input_to_vec``/``vec_to_input`` on the base class
+flatten any input through the one field walk in :mod:`~efy.numerics`, so
+generic code (finite differences, smoothness probes, training) can treat
+``v`` as one vector. Structure tags describe curvature:
 
-* ``p_structure``: "linear" | "quadratic_concave" | "concave" | "nonconcave"
+* ``p_structure``: "linear" (``Phi = <linear_score(v), p>``) | "quadratic_concave"
+  | "concave" | "nonconcave"
 * ``v_structure``: "linear" | "convex" | "nonconvex"
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
 
 from .exceptions import ContractViolation
-from .numerics import as_mat, as_vec
+from .numerics import as_mat, as_vec, flatten, rebuild, rng_from_seed, unflatten, walk
 from .regularizers import lse, softmax
 
 
@@ -31,21 +34,14 @@ def softplus(z: np.ndarray) -> np.ndarray:
 
 
 class _FieldArithmetic:
-    """Elementwise +, -, and scalar * over dataclass fields of arrays."""
+    """Elementwise +, -, and scalar * over the leaves of a dataclass tree."""
 
     def _zip(self, other, op):
-        pairs = []
-        for f in fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            pairs.append(a._zip(b, op) if isinstance(a, _FieldArithmetic) else op(a, b))
-        return type(self)(*pairs)
+        pairs = zip(walk(self), walk(other), strict=True)
+        return rebuild(self, iter([op(a, b) for (_, a), (_, b) in pairs]))
 
     def _scale(self, c: float):
-        vals = []
-        for f in fields(self):
-            a = getattr(self, f.name)
-            vals.append(a._scale(c) if isinstance(a, _FieldArithmetic) else c * a)
-        return type(self)(*vals)
+        return rebuild(self, iter([c * a for _, a in walk(self)]))
 
     def __add__(self, other):
         return self._zip(other, np.add)
@@ -116,6 +112,8 @@ class Energy:
         raise NotImplementedError
 
     def grad_p(self, v, p) -> np.ndarray:
+        if self.p_structure == "linear":
+            return self.linear_score(v)
         raise NotImplementedError
 
     def grad_v(self, v, p):
@@ -123,14 +121,19 @@ class Energy:
         raise NotImplementedError
 
     def input_to_vec(self, v) -> np.ndarray:
-        raise NotImplementedError
+        return flatten(v)
 
     def vec_to_input(self, vec):
-        raise NotImplementedError
+        return unflatten(self._input_like, vec)
+
+    @cached_property
+    def _input_like(self):
+        # Any input fixes the structure and leaf shapes that vec_to_input rebuilds.
+        return self.random_input(rng_from_seed(0))
 
     def random_input(self, rng: np.random.Generator, scale: float = 1.0):
-        """A generic random instance at unit-ish magnitude, for checks."""
-        raise NotImplementedError
+        """A random instance at unit-ish magnitude, for checks; here a normal ``d``-vector."""
+        return scale * rng.standard_normal(self.d)
 
 
 class BilinearEnergy(Energy):
@@ -149,24 +152,12 @@ class BilinearEnergy(Energy):
     def value(self, v, p):
         return float(as_vec(v) @ (self.U @ self.check_output(p)))
 
-    def grad_p(self, v, p):
-        return self.U.T @ as_vec(v)
-
     def grad_v(self, v, p):
         return self.U @ as_vec(p)
 
     def linear_score(self, v) -> np.ndarray:
         # Phi(v, p) = <score(v), p>
         return self.U.T @ as_vec(v)
-
-    def input_to_vec(self, v):
-        return as_vec(v).copy()
-
-    def vec_to_input(self, vec):
-        return as_vec(vec).copy()
-
-    def random_input(self, rng, scale=1.0):
-        return scale * rng.standard_normal(self.d)
 
 
 class LinearQuadraticEnergy(Energy):
@@ -180,9 +171,6 @@ class LinearQuadraticEnergy(Energy):
     p_structure = "quadratic_concave"
     v_structure = "linear"
 
-    def __init__(self, k: int):
-        super().__init__(k)
-
     def value(self, v, p):
         p = self.check_output(p)
         return 0.5 * float(p @ (v.A @ p)) + float(p @ v.b)
@@ -195,14 +183,6 @@ class LinearQuadraticEnergy(Energy):
     def grad_v(self, v, p):
         p = as_vec(p)
         return LinQuadInput(A=0.5 * np.outer(p, p), b=p.copy())
-
-    def input_to_vec(self, v):
-        return np.concatenate([v.A.ravel(), v.b])
-
-    def vec_to_input(self, vec):
-        vec = as_vec(vec)
-        k = self.k
-        return LinQuadInput(A=vec[: k * k].reshape(k, k).copy(), b=vec[k * k :].copy())
 
     def random_input(self, rng, scale=1.0, nsd=True):
         g = rng.standard_normal((self.k, self.k))
@@ -241,14 +221,6 @@ class PairwiseEnergy(Energy):
         p = as_vec(p)
         return PairwiseInput(u=p.copy(), U=0.5 * np.outer(p, p))
 
-    def input_to_vec(self, v):
-        return np.concatenate([v.u, v.U.ravel()])
-
-    def vec_to_input(self, vec):
-        vec = as_vec(vec)
-        k = self.k
-        return PairwiseInput(u=vec[:k].copy(), U=vec[k:].reshape(k, k).copy())
-
     def random_input(self, rng, scale=1.0):
         g = rng.standard_normal((self.k, self.k))
         return PairwiseInput(
@@ -279,24 +251,12 @@ class RectifierEnergy(Energy):
     def value(self, v, p):
         return float(relu(as_vec(v)) @ (self.U @ self.check_output(p)))
 
-    def grad_p(self, v, p):
-        return self.U.T @ relu(as_vec(v))
-
     def grad_v(self, v, p):
         v = as_vec(v)
         return np.where(v > 0.0, self.U @ as_vec(p), 0.0)
 
     def linear_score(self, v):
         return self.U.T @ relu(as_vec(v))
-
-    def input_to_vec(self, v):
-        return as_vec(v).copy()
-
-    def vec_to_input(self, vec):
-        return as_vec(vec).copy()
-
-    def random_input(self, rng, scale=1.0):
-        return scale * rng.standard_normal(self.d)
 
 
 class MaxoutEnergy(Energy):
@@ -313,9 +273,6 @@ class MaxoutEnergy(Energy):
     def value(self, v, p):
         return float(self.check_output(p)[0]) * float(np.max(as_vec(v)))
 
-    def grad_p(self, v, p):
-        return np.array([float(np.max(as_vec(v)))])
-
     def grad_v(self, v, p):
         v = as_vec(v)
         g = np.zeros_like(v)
@@ -324,15 +281,6 @@ class MaxoutEnergy(Energy):
 
     def linear_score(self, v):
         return np.array([float(np.max(as_vec(v)))])
-
-    def input_to_vec(self, v):
-        return as_vec(v).copy()
-
-    def vec_to_input(self, vec):
-        return as_vec(vec).copy()
-
-    def random_input(self, rng, scale=1.0):
-        return scale * rng.standard_normal(self.d)
 
 
 class LogSumExpEnergy(Energy):
@@ -352,23 +300,11 @@ class LogSumExpEnergy(Energy):
     def value(self, v, p):
         return float(self.check_output(p)[0]) * lse(v, self.gamma)
 
-    def grad_p(self, v, p):
-        return np.array([lse(v, self.gamma)])
-
     def grad_v(self, v, p):
         return float(as_vec(p)[0]) * softmax(v, self.gamma)
 
     def linear_score(self, v):
         return np.array([lse(v, self.gamma)])
-
-    def input_to_vec(self, v):
-        return as_vec(v).copy()
-
-    def vec_to_input(self, vec):
-        return as_vec(vec).copy()
-
-    def random_input(self, rng, scale=1.0):
-        return scale * rng.standard_normal(self.d)
 
 
 class SpenEnergy(Energy):
@@ -420,24 +356,6 @@ class SpenEnergy(Energy):
         gW2 = -h * expit(w.W2) if self.concave else -h
         gb2 = -1.0
         return SpenInput(u=p.copy(), w=PriorWeights(W1=gW1, b1=gb1, W2=gW2, b2=gb2))
-
-    def input_to_vec(self, v):
-        w = v.w
-        return np.concatenate([v.u, w.W1.ravel(), w.b1, w.W2, [w.b2]])
-
-    def vec_to_input(self, vec):
-        vec = as_vec(vec)
-        k, h = self.k, self.hidden
-        parts = np.split(vec, np.cumsum([k, h * k, h, h]))
-        return SpenInput(
-            u=parts[0].copy(),
-            w=PriorWeights(
-                W1=parts[1].reshape(h, k).copy(),
-                b1=parts[2].copy(),
-                W2=parts[3].copy(),
-                b2=float(parts[4][0]),
-            ),
-        )
 
     def random_input(self, rng, scale=1.0):
         k, h = self.k, self.hidden

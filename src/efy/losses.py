@@ -184,15 +184,3 @@ def generalized_bregman(
         energy.value(v_ref, p_ref) - energy.value(v_ref, p)
     )
 
-
-def dual_divergence(energy: Energy, reg: Regularizer, v, v_ref, cfg: SolverConfig | None = None) -> float:
-    """Divergence between inputs, the mirror image of :func:`generalized_bregman`:
-
-    ``D(v, v') = Omega^Phi(v) - Phi(v, p') - Omega^Phi(v') + Phi(v', p')``
-    with ``p'`` the argmax at ``v'``. Documented construction; it inherits
-    nonnegativity whenever the conjugate solves are exact.
-    """
-    res_ref = conjugate(energy, reg, v_ref, cfg)
-    res = conjugate(energy, reg, v, cfg)
-    p_ref = res_ref.argmax
-    return res.value - energy.value(v, p_ref) - res_ref.value + energy.value(v_ref, p_ref)

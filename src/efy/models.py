@@ -10,14 +10,17 @@ Three architectures, all built on one hidden-layer relu MLPs:
   themselves part of the model parameters and ride along in the energy input,
   so their gradient is an identity pass-through.
 
-Backpropagation is written out by hand (the graphs are three lines long), and
-parameters serialize to a JSON header plus a flat little-endian float64
-payload.
+Backpropagation is written out by hand (the graphs are three lines long).
+Parameters are dataclass trees: ``Model.params_to_vec``/``vec_to_params``
+flatten them through the field walk in :mod:`~efy.numerics`, and they
+serialize to a JSON header (the walk's dotted tensor names and shapes) plus
+a flat little-endian float64 payload.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,7 @@ from .energies import (
     relu,
 )
 from .exceptions import ContractViolation, ParseError
-from .numerics import as_vec, rng_from_seed
+from .numerics import as_vec, flatten, rng_from_seed, unflatten, walk
 
 FORMAT_TAG = "efy-params-v1"
 
@@ -91,10 +94,6 @@ class Model:
         self.k = k
         self.hidden = hidden if hidden is not None else default_hidden(d)
 
-    # Canonical tensor order used by flattening and serialization.
-    def tensor_items(self, params) -> list[tuple[str, np.ndarray]]:
-        raise NotImplementedError
-
     def init_params(self, seed: int):
         raise NotImplementedError
 
@@ -111,11 +110,18 @@ class Model:
     def meta(self) -> dict:
         return {"architecture": self.architecture, "d": self.d, "k": self.k, "hidden": self.hidden}
 
+    # Flattening and serialization both follow the params dataclasses' field
+    # order (numerics.walk), so that order is the on-disk tensor order:
+    # reordering a field changes params.bin, and a test pins the header.
     def params_to_vec(self, params) -> np.ndarray:
-        return np.concatenate([np.atleast_1d(t).ravel() for _, t in self.tensor_items(params)])
+        return flatten(params)
 
     def vec_to_params(self, vec: np.ndarray):
-        raise NotImplementedError
+        return unflatten(self._params_like, vec)
+
+    @cached_property
+    def _params_like(self):
+        return self.init_params(0)
 
     def _init_mlp(self, rng: np.random.Generator) -> MLPParams:
         d, k, m = self.d, self.k, self.hidden
@@ -148,19 +154,6 @@ class UnaryModel(Model):
     def energy(self) -> BilinearEnergy:
         return BilinearEnergy(np.eye(self.k))
 
-    def tensor_items(self, p: MLPParams):
-        return [("W1", p.W1), ("b1", p.b1), ("W2", p.W2), ("b2", p.b2)]
-
-    def vec_to_params(self, vec: np.ndarray) -> MLPParams:
-        d, k, m = self.d, self.k, self.hidden
-        parts = np.split(as_vec(vec), np.cumsum([m * d, m, k * m]))
-        return MLPParams(
-            W1=parts[0].reshape(m, d).copy(),
-            b1=parts[1].copy(),
-            W2=parts[2].reshape(k, m).copy(),
-            b2=parts[3].copy(),
-        )
-
 
 class PairwiseModel(Model):
     architecture = "pairwise"
@@ -191,32 +184,6 @@ class PairwiseModel(Model):
 
     def energy(self) -> PairwiseEnergy:
         return PairwiseEnergy(self.k)
-
-    def tensor_items(self, p: PairwiseParams):
-        u = p.unary
-        return [
-            ("unary.W1", u.W1),
-            ("unary.b1", u.b1),
-            ("unary.W2", u.W2),
-            ("unary.b2", u.b2),
-            ("WA", p.WA),
-            ("bA", p.bA),
-        ]
-
-    def vec_to_params(self, vec: np.ndarray) -> PairwiseParams:
-        d, k, m = self.d, self.k, self.hidden
-        sizes = [m * d, m, k * m, k, k * d]
-        parts = np.split(as_vec(vec), np.cumsum(sizes))
-        return PairwiseParams(
-            unary=MLPParams(
-                W1=parts[0].reshape(m, d).copy(),
-                b1=parts[1].copy(),
-                W2=parts[2].reshape(k, m).copy(),
-                b2=parts[3].copy(),
-            ),
-            WA=parts[4].reshape(k, d).copy(),
-            bA=parts[5].copy(),
-        )
 
 
 class SpenModel(Model):
@@ -260,38 +227,6 @@ class SpenModel(Model):
         base.update({"prior_hidden": self.prior_hidden, "concave": self.concave})
         return base
 
-    def tensor_items(self, p: SpenParams):
-        u = p.unary
-        return [
-            ("unary.W1", u.W1),
-            ("unary.b1", u.b1),
-            ("unary.W2", u.W2),
-            ("unary.b2", u.b2),
-            ("prior.W1", p.prior.W1),
-            ("prior.b1", p.prior.b1),
-            ("prior.W2", p.prior.W2),
-            ("prior.b2", np.asarray(p.prior.b2)),
-        ]
-
-    def vec_to_params(self, vec: np.ndarray) -> SpenParams:
-        d, k, m, h = self.d, self.k, self.hidden, self.prior_hidden
-        sizes = [m * d, m, k * m, k, h * k, h, h]
-        parts = np.split(as_vec(vec), np.cumsum(sizes))
-        return SpenParams(
-            unary=MLPParams(
-                W1=parts[0].reshape(m, d).copy(),
-                b1=parts[1].copy(),
-                W2=parts[2].reshape(k, m).copy(),
-                b2=parts[3].copy(),
-            ),
-            prior=PriorWeights(
-                W1=parts[4].reshape(h, k).copy(),
-                b1=parts[5].copy(),
-                W2=parts[6].copy(),
-                b2=float(parts[7][0]),
-            ),
-        )
-
 
 ARCHITECTURES = ("unary", "pairwise", "spen")
 
@@ -313,24 +248,28 @@ def make_model(
     raise ContractViolation(f"unknown architecture {architecture!r}; choose from {ARCHITECTURES}")
 
 
+def _tensor_list(params) -> list[dict]:
+    return [{"name": name, "shape": list(np.shape(leaf))} for name, leaf in walk(params)]
+
+
 def save_params(path, model: Model, params, seed: int | None = None):
     """Write a JSON header line plus a flat little-endian float64 payload."""
-    items = model.tensor_items(params)
-    header = {
-        "format": FORMAT_TAG,
-        "seed": seed,
-        "tensors": [{"name": n, "shape": list(np.asarray(t).shape)} for n, t in items],
-        **model.meta(),
-    }
-    payload = np.concatenate([np.atleast_1d(np.asarray(t, dtype="<f8")).ravel() for _, t in items])
+    header = {"format": FORMAT_TAG, "seed": seed, "tensors": _tensor_list(params), **model.meta()}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(payload.astype("<f8").tobytes())
+        fh.write(flatten(params).astype("<f8").tobytes())
+
+
+# The make_model arguments a header carries; only the first three are required.
+_HEADER_TYPES = {"architecture": str, "d": int, "k": int, "hidden": int, "prior_hidden": int, "concave": bool}
 
 
 def load_params(path) -> tuple[Model, object, dict]:
-    """Inverse of :func:`save_params`; returns (model, params, header)."""
+    """Inverse of :func:`save_params`; returns (model, params, header).
+
+    The header's tensor names and shapes must be the named model's own.
+    """
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
     if nl < 0:
@@ -339,8 +278,14 @@ def load_params(path) -> tuple[Model, object, dict]:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"unreadable parameter header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError("parameter header is not a JSON object")
     if header.get("format") != FORMAT_TAG:
         raise ParseError(f"unsupported parameter format {header.get('format')!r}")
+    for key, typ in _HEADER_TYPES.items():
+        value = header.get(key)
+        if type(value) is not typ and (value is not None or key in ("architecture", "d", "k")):
+            raise ParseError(f"parameter header field {key!r} must be a {typ.__name__}, got {value!r}")
     model = make_model(
         header["architecture"],
         header["d"],
@@ -349,8 +294,11 @@ def load_params(path) -> tuple[Model, object, dict]:
         prior_hidden=header.get("prior_hidden", 4),
         concave=header.get("concave", True),
     )
+    expected = _tensor_list(model._params_like)
+    if header.get("tensors") != expected:
+        raise ParseError(f"parameter header tensors do not match the {model.architecture} model's {expected}")
     vec = np.frombuffer(raw[nl + 1 :], dtype="<f8")
-    expected = sum(int(np.prod(t["shape"])) if t["shape"] else 1 for t in header["tensors"])
-    if vec.size != expected:
-        raise ParseError(f"parameter payload holds {vec.size} floats, header declares {expected}")
-    return model, model.vec_to_params(vec.copy()), header
+    size = flatten(model._params_like).size
+    if vec.size != size:
+        raise ParseError(f"parameter payload holds {vec.size} floats, header declares {size}")
+    return model, model.vec_to_params(vec), header

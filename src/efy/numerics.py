@@ -1,11 +1,14 @@
-"""Dense linear-algebra substrate: validation, seeded RNG, finite differences.
+"""Dense linear-algebra substrate: validation, seeded RNG, finite differences,
+and the flatten/unflatten of structured values.
 
 Everything here is deterministic. Matrices are dense ``float64`` arrays;
 no sparse formats are supported.
 """
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import fields, is_dataclass
+from functools import lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -139,3 +142,61 @@ def solve_spd(m, b) -> np.ndarray:
     y = solve_triangular(lower, b, lower=True, unit_diagonal=True)
     x = solve_triangular(lower.T, y / diag, lower=False, unit_diagonal=True)
     return assert_finite(x, "solve_spd result")
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """Field names of a dataclass type in declaration order; None for a leaf type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+def walk(tree, prefix: str = "") -> Iterator[tuple[str, object]]:
+    """Yield ``(dotted name, leaf)`` for each leaf of a dataclass tree, in field order.
+
+    Fields holding dataclasses are walked into; anything else (an array or a
+    float) is a leaf. A bare leaf yields once, named ``""``.
+    """
+    names = _field_names(type(tree))
+    if names is None:
+        yield prefix, tree
+        return
+    for name in names:
+        node = getattr(tree, name)
+        # Leaves are yielded here, not by a nested call: training flattens
+        # once per sample, and a generator per leaf is measurable there.
+        if _field_names(type(node)) is None:
+            yield prefix + name, node
+        else:
+            yield from walk(node, f"{prefix}{name}.")
+
+
+def flatten(tree) -> np.ndarray:
+    """All leaves of ``tree`` raveled into one new float vector, in :func:`walk` order."""
+    return np.concatenate([leaf for _, leaf in walk(tree)], axis=None, dtype=float)
+
+
+def rebuild(like, leaves: Iterator):
+    """A tree shaped like ``like`` whose leaves are drawn, in :func:`walk` order, from ``leaves``."""
+    names = _field_names(type(like))
+    if names is None:
+        return next(leaves)
+    return type(like)(*[rebuild(getattr(like, name), leaves) for name in names])
+
+
+def unflatten(like, vec):
+    """Inverse of :func:`flatten`: a tree shaped like ``like`` holding copies of ``vec``.
+
+    Leaves take their shapes from ``like``; a ``float`` leaf comes back as a
+    ``float``. Raises :class:`ContractViolation` on a size mismatch.
+    """
+    vec = as_vec(vec, "flat vector")
+    leaves = [leaf for _, leaf in walk(like)]
+    size = sum(np.size(leaf) for leaf in leaves)
+    if vec.size != size:
+        raise ContractViolation(f"flat vector has {vec.size} entries, the structure holds {size}")
+    parts, pos = [], 0
+    for leaf in leaves:
+        part = vec[pos : pos + np.size(leaf)]
+        pos += part.size
+        parts.append(float(part[0]) if isinstance(leaf, float) else part.reshape(np.shape(leaf)).copy())
+    return rebuild(like, iter(parts))

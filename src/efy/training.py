@@ -113,7 +113,8 @@ def batch_gradient(
 ) -> tuple[np.ndarray, float]:
     """Mean parameter gradient and mean loss over the rows of ``X``/``Y``."""
     energy = model.energy()
-    grad = np.zeros_like(model.params_to_vec(params))
+    theta = model.params_to_vec(params)
+    grad = np.zeros_like(theta)
     total = 0.0
     for i in range(X.shape[0]):
         try:
@@ -127,7 +128,6 @@ def batch_gradient(
         grad += model.params_to_vec(model.vjp(params, X[i], le.grad_v))
     grad /= X.shape[0]
     total /= X.shape[0]
-    theta = model.params_to_vec(params)
     grad += l2_weight * theta
     if not np.all(np.isfinite(grad)):
         raise TrainingDivergence(f"non-finite gradient in batch starting at sample {index_offset}")
@@ -143,6 +143,8 @@ def predict_marginals(model: Model, params, reg: Regularizer, X: np.ndarray, sol
 
 
 def evaluate_accuracy(model: Model, params, reg: Regularizer, ds: MultilabelDataset, solver: SolverConfig | None = None) -> float:
+    if ds.n == 0:
+        raise ContractViolation("cannot score an empty dataset")
     P = predict_marginals(model, params, reg, ds.X, solver)
     correct = sum(float(np.mean(hamming_decode(P[i]) == ds.Y[i])) for i in range(ds.n))
     return correct / ds.n
@@ -158,6 +160,8 @@ def train(
     """ADAM over shuffled minibatches; per-epoch mean loss and dev accuracy."""
     if train_ds.d != model.d or train_ds.k != model.k:
         raise ContractViolation("dataset dimensions do not match the model")
+    if train_ds.n == 0:
+        raise ContractViolation("training set is empty")
     start = time.perf_counter()
     rng = rng_from_seed(cfg.seed)
     params = model.init_params(cfg.seed)

@@ -161,3 +161,14 @@ def sample_instance(family: str, rng: np.random.Generator, k: int = 3, d: int = 
 
 
 FAMILIES = ("bilinear", "linear_quadratic", "pairwise", "rectifier", "maxout", "lse_net", "spen")
+
+
+def rewrite_params_header(path, edit) -> None:
+    """Apply ``edit`` to the JSON header of a params file, keeping its payload."""
+    import json
+
+    raw = path.read_bytes()
+    nl = raw.find(b"\n")
+    header = json.loads(raw[:nl])
+    edit(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + raw[nl:])

@@ -3,8 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from efy import load_params
+from efy import (
+    EvaluationError,
+    SolverConfig,
+    SpenEnergy,
+    box01,
+    load_params,
+    make_model,
+    make_regularizer,
+    rng_from_seed,
+    save_params,
+)
+from efy import cli
 from efy.cli import main
+
+from support import rewrite_params_header
 
 
 def write_config(tmp_path, name, obj):
@@ -125,6 +138,21 @@ class TestGradcheck:
         capsys.readouterr()
 
 
+    def test_spen_screen_gives_up_with_exit_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SPEN_SCREEN_MAX_DRAWS", 3)
+        rng = rng_from_seed(0)
+        energy = SpenEnergy(2, hidden=2)
+        reg = make_regularizer("gini_binary", 2, gamma=1.0, domain=box01(2))
+        v, y = energy.random_input(rng), np.full(2, 0.5)
+        # no instance clears an infinite margin, so only the cap ends the loop
+        with pytest.raises(EvaluationError, match="3 draws"):
+            cli._screen_spen(energy, reg, v, y, rng, SolverConfig(), margin=np.inf)
+        monkeypatch.setattr(cli, "SPEN_SCREEN_MAX_DRAWS", 0)
+        cfg = write_config(tmp_path, "c.json", {"family": "spen", "instances": 1})
+        assert main(["gradcheck", "--config", cfg]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
 class TestConjbench:
     def test_reference_instance_and_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"
@@ -240,6 +268,35 @@ class TestTrainEval:
         )
         assert main(["eval", "--config", eval_cfg]) == 2
         capsys.readouterr()
+
+    def test_eval_params_header_without_architecture(self, tmp_path, capsys):
+        model = make_model("unary", d=3, k=2, hidden=2)
+        params = tmp_path / "params.bin"
+        save_params(params, model, model.init_params(0))
+        rewrite_params_header(params, lambda h: h.pop("architecture"))
+        eval_cfg = write_config(
+            tmp_path,
+            "eval.json",
+            {"params": str(params), "dataset": {"synthetic": {"n": 4, "d": 3, "k": 2}}},
+        )
+        assert main(["eval", "--config", eval_cfg]) == 2
+        assert "architecture" in capsys.readouterr().err
+
+    def test_eval_on_an_empty_test_split(self, tmp_path, capsys):
+        model = make_model("unary", d=3, k=2, hidden=2)
+        params = tmp_path / "params.bin"
+        save_params(params, model, model.init_params(0))
+        eval_cfg = write_config(
+            tmp_path,
+            "eval.json",
+            {
+                "params": str(params),
+                "dataset": {"synthetic": {"n": 24, "d": 3, "k": 2}},
+                "split": {"test_fraction": 0.01},
+            },
+        )
+        assert main(["eval", "--config", eval_cfg]) == 2
+        assert "empty" in capsys.readouterr().err
 
     def test_eval_dimension_mismatch(self, tmp_path, capsys):
         train_cfg = write_config(tmp_path, "train.json", synthetic_train_config(tmp_path))

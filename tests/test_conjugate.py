@@ -5,6 +5,7 @@ from efy import (
     BilinearEnergy,
     ContractViolation,
     DivergenceError,
+    Energy,
     GiniBinary,
     Indicator,
     InfeasibleError,
@@ -83,6 +84,30 @@ class TestClosedForms:
         v = LinQuadInput(A=np.eye(2), b=np.ones(2))  # 0.5*I - I is negative definite
         with pytest.raises(InfeasibleError):
             conjugate(energy, reg, v)
+
+
+    def test_dispatch_follows_the_declared_structure(self):
+        # an energy outside the built-in classes takes the closed form by
+        # declaring itself linear in p
+        class DoubledScores(Energy):
+            p_structure = "linear"
+
+            def value(self, v, p):
+                return 2.0 * float(v @ self.check_output(p))
+
+            def grad_v(self, v, p):
+                return 2.0 * np.asarray(p, dtype=float)
+
+            def linear_score(self, v):
+                return 2.0 * np.asarray(v, dtype=float)
+
+        v = np.array([0.5, -2.0, 4.0])
+        reg = GiniBinary(1.0, 3)
+        res = conjugate(DoubledScores(3), reg, v)
+        ref = conjugate(BilinearEnergy(2.0 * np.eye(3)), reg, v)
+        assert res.status == "closed_form"
+        np.testing.assert_allclose(res.argmax, ref.argmax, rtol=0, atol=1e-15)
+        assert res.value == pytest.approx(ref.value, rel=1e-15)
 
 
 class TestResultInvariants:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from efy import (
     save_params,
 )
 
-from support import margin_uniform
+from support import margin_uniform, rewrite_params_header
 
 TIGHT = SolverConfig(tol=1e-10)
 
@@ -259,4 +261,47 @@ class TestSerialization:
         path = tmp_path / "p.bin"
         path.write_bytes(b"not json at all\npayload")
         with pytest.raises(ParseError):
+            load_params(path)
+
+    def test_header_pins_tensor_names_and_shapes(self, tmp_path):
+        # tensors are written in the params dataclasses' field order; reordering
+        # a field must fail here rather than silently change params.bin
+        unary = [("W1", [2, 5]), ("b1", [2]), ("W2", [3, 2]), ("b2", [3])]
+        expected = {
+            "unary": unary,
+            "pairwise": [("unary." + n, s) for n, s in unary] + [("WA", [3, 5]), ("bA", [3])],
+            "spen": [("unary." + n, s) for n, s in unary]
+            + [("prior.W1", [2, 3]), ("prior.b1", [2]), ("prior.W2", [2]), ("prior.b2", [])],
+        }
+        for arch, tensors in expected.items():
+            model = make_model(arch, d=5, k=3, hidden=2, prior_hidden=2)
+            path = tmp_path / f"{arch}.bin"
+            save_params(path, model, model.init_params(0))
+            header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+            assert header["tensors"] == [{"name": n, "shape": s} for n, s in tensors], arch
+
+    def test_missing_or_mistyped_model_fields(self, tmp_path):
+        model = make_model("unary", d=3, k=2, hidden=2)
+        path = tmp_path / "p.bin"
+        edits = (
+            lambda h: h.pop("architecture"),
+            lambda h: h.update(architecture=1),
+            lambda h: h.pop("d"),
+            lambda h: h.update(d="3"),
+            lambda h: h.update(k=2.0),
+            lambda h: h.update(k=True),
+        )
+        for edit in edits:
+            save_params(path, model, model.init_params(0))
+            rewrite_params_header(path, edit)
+            with pytest.raises(ParseError):
+                load_params(path)
+
+    def test_reshaped_tensors_of_the_same_total_size(self, tmp_path):
+        model = make_model("unary", d=3, k=2, hidden=2)
+        path = tmp_path / "p.bin"
+        save_params(path, model, model.init_params(0))
+        # W1 is (2, 3); (3, 2) keeps the float count but not the layout
+        rewrite_params_header(path, lambda h: h["tensors"][0].update(shape=[3, 2]))
+        with pytest.raises(ParseError, match="tensors"):
             load_params(path)

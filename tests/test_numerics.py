@@ -4,7 +4,9 @@ import pytest
 from efy import (
     ContractViolation,
     EvaluationError,
+    PriorWeights,
     SingularMatrixError,
+    SpenInput,
     conjugate,
     LinearQuadraticEnergy,
     make_regularizer,
@@ -13,10 +15,13 @@ from efy import (
 from efy.numerics import (
     cholesky_spd,
     finite_diff_grad,
+    flatten,
     is_negative_semidefinite,
     rel_err,
     rng_from_seed,
     solve_spd,
+    unflatten,
+    walk,
 )
 
 from support import feasible_linquad, random_spd
@@ -130,3 +135,28 @@ class TestRng:
         a = rng_from_seed(1).standard_normal(10)
         b = rng_from_seed(2).standard_normal(10)
         assert not np.array_equal(a, b)
+
+
+def spen_input_like() -> SpenInput:
+    w = PriorWeights(W1=np.zeros((3, 2)), b1=np.zeros(3), W2=np.zeros(3), b2=0.0)
+    return SpenInput(u=np.zeros(2), w=w)
+
+
+class TestFlatten:
+    def test_walk_names_leaves_in_field_order(self):
+        assert [name for name, _ in walk(spen_input_like())] == ["u", "w.W1", "w.b1", "w.W2", "w.b2"]
+        assert [name for name, _ in walk(np.zeros(3))] == [""]
+
+    def test_unflatten_inverts_flatten_with_copies(self):
+        vec = np.arange(15.0)
+        tree = unflatten(spen_input_like(), vec)
+        np.testing.assert_array_equal(flatten(tree), vec)
+        assert tree.w.W1.shape == (3, 2)
+        assert type(tree.w.b2) is float and tree.w.b2 == 14.0
+        tree.u[0] = -1.0
+        assert vec[0] == 0.0
+
+    def test_size_mismatch_raises(self):
+        for size in (14, 16):
+            with pytest.raises(ContractViolation):
+                unflatten(spen_input_like(), np.zeros(size))

@@ -14,8 +14,10 @@ from efy import (
     hyperparam_search,
     make_model,
     objective_value,
+    planted_pairwise,
     predict_marginals,
     rng_from_seed,
+    split,
     train,
 )
 from dataclasses import replace
@@ -138,6 +140,15 @@ class TestTrainingRuns:
         model = make_model("unary", d=5, k=2)
         with pytest.raises(ContractViolation):
             train(model, GiniBinary(1.0, 2), ds, TrainConfig(epochs=1))
+
+    def test_empty_split(self):
+        empty, _ = split(planted_pairwise(3, 4, 3, seed=0), (0.1, 0.9), seed=0)
+        assert empty.n == 0
+        model = make_model("unary", d=4, k=3, hidden=2)
+        with pytest.raises(ContractViolation, match="empty"):
+            train(model, GiniBinary(1.0, 3), empty, TrainConfig(epochs=1))
+        with pytest.raises(ContractViolation, match="empty"):
+            evaluate_accuracy(model, model.init_params(0), GiniBinary(1.0, 3), empty)
 
     def test_predicted_marginals_live_in_the_box(self):
         ds = small_dataset()
