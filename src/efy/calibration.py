@@ -31,7 +31,7 @@ from scipy.optimize import minimize
 from .conjugate import SolverConfig, conjugate
 from .energies import BilinearEnergy, Energy, PairwiseEnergy, PairwiseInput
 from .exceptions import ContractViolation
-from .losses import fy_loss, gfy_loss
+from .losses import gfy_loss
 from .numerics import as_vec, rng_from_seed
 from .regularizers import Regularizer
 

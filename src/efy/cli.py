@@ -2,7 +2,12 @@
 
 Subcommands: ``train``, ``eval``, ``gradcheck``, ``conjbench``, ``calibcheck``.
 Each reads a JSON config validated against a strict schema (unknown keys are
-rejected). The ``EFY_SEED`` environment variable overrides the config seed.
+rejected). A block's keys are the keyword arguments of the library function
+it feeds (``dataset.synthetic`` -> ``planted_pairwise``, ``dataset`` with a
+``path`` -> ``parse_libsvm_multilabel``, ``model`` -> ``make_model``,
+``regularizer`` -> ``make_regularizer``, ``train`` -> ``TrainConfig``,
+``solver`` -> ``SolverConfig``), so an omitted key takes that function's
+default. The ``EFY_SEED`` environment variable overrides the config seed.
 Output files start with a provenance header line carrying the config hash and
 the effective seed.
 
@@ -265,42 +270,25 @@ def _header(cfg: dict) -> str:
     return f"# config={_config_hash(cfg)} seed={cfg['seed']}\n"
 
 
-def _solver_from(cfg: dict, default_tol: float = 1e-8) -> SolverConfig:
-    block = dict(cfg.get("solver", {}))
-    block.setdefault("tol", default_tol)
-    return SolverConfig(**block)
+def _solver_from(cfg: dict, **defaults) -> SolverConfig:
+    """``SolverConfig`` from the config's solver block over per-command ``defaults``."""
+    return SolverConfig(**{**defaults, **cfg.get("solver", {})})
 
 
 def _regularizer_from(cfg: dict, k: int, default_kind: str = "gini_binary"):
-    block = cfg.get("regularizer", {"kind": default_kind})
-    return make_regularizer(block["kind"], k, gamma=block.get("gamma", 1.0))
+    return make_regularizer(k=k, **cfg.get("regularizer", {"kind": default_kind}))
 
 
 def _load_dataset(block: dict, seed: int) -> MultilabelDataset:
-    has_path = "path" in block
-    has_synth = "synthetic" in block
-    if has_path == has_synth:
+    if ("path" in block) == ("synthetic" in block):
         raise ContractViolation("dataset must specify exactly one of 'path' or 'synthetic'")
-    if has_synth:
-        s = block["synthetic"]
-        return planted_pairwise(
-            s["n"],
-            s["d"],
-            s["k"],
-            seed=s.get("seed", seed),
-            coupling=s.get("coupling", 4.0),
-            unary_scale=s.get("unary_scale", 4.0),
-            gamma=s.get("gamma", 1.0),
-        )
-    path = Path(block["path"])
+    if "synthetic" in block:
+        return planted_pairwise(**{"seed": seed, **block["synthetic"]})
+    rest = dict(block)
+    path = Path(rest.pop("path"))
     if not path.exists():
         raise ContractViolation(f"dataset file not found: {path}")
-    return parse_libsvm_multilabel(
-        path.read_text().splitlines(),
-        n_features=block.get("n_features"),
-        n_labels=block.get("n_labels"),
-        labels_one_based=block.get("labels_one_based", True),
-    )
+    return parse_libsvm_multilabel(path.read_text(), **rest)
 
 
 def _prepare_splits(cfg: dict) -> tuple[MultilabelDataset, MultilabelDataset | None, MultilabelDataset | None]:
@@ -310,24 +298,15 @@ def _prepare_splits(cfg: dict) -> tuple[MultilabelDataset, MultilabelDataset | N
         return ds, None, None
     test_f = block.get("test_fraction", 0.0)
     dev_f = block.get("dev_fraction", 0.0)
-    train_f = 1.0 - test_f - dev_f
-    if train_f <= 0:
+    fractions = {"train": 1.0 - test_f - dev_f, "dev": dev_f, "test": test_f}
+    if fractions["train"] <= 0:
         raise ContractViolation("split fractions leave no training data")
-    fracs = [train_f] + ([dev_f] if dev_f > 0 else []) + ([test_f] if test_f > 0 else [])
-    parts = list(split(ds, fracs, seed=block.get("seed", cfg["seed"])))
-    train_ds = parts.pop(0)
-    dev_ds = parts.pop(0) if dev_f > 0 else None
-    test_ds = parts.pop(0) if test_f > 0 else None
+    names = [name for name, f in fractions.items() if f > 0]
+    parts = split(ds, [fractions[name] for name in names], seed=block.get("seed", cfg["seed"]))
     if block.get("standardize", False):
-        others = [x for x in (dev_ds, test_ds) if x is not None]
-        transformed = standardize(train_ds, *others)
-        train_ds = transformed[0]
-        rest = list(transformed[1:-1])
-        if dev_ds is not None:
-            dev_ds = rest.pop(0)
-        if test_ds is not None:
-            test_ds = rest.pop(0)
-    return train_ds, dev_ds, test_ds
+        parts = standardize(*parts)[:-1]
+    named = dict(zip(names, parts))
+    return named["train"], named.get("dev"), named.get("test")
 
 
 def _fmt(x: float) -> str:
@@ -337,26 +316,9 @@ def _fmt(x: float) -> str:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, "train")
     train_ds, dev_ds, test_ds = _prepare_splits(cfg)
-    model_block = cfg["model"]
-    model = make_model(
-        model_block["architecture"],
-        train_ds.d,
-        train_ds.k,
-        hidden=model_block.get("hidden"),
-        prior_hidden=model_block.get("prior_hidden", 4),
-        concave=model_block.get("concave", True),
-    )
+    model = make_model(d=train_ds.d, k=train_ds.k, **cfg["model"])
     reg = _regularizer_from(cfg, train_ds.k)
-    tblock = cfg.get("train", {})
-    tcfg = TrainConfig(
-        loss=tblock.get("loss", "gfy"),
-        epochs=tblock.get("epochs", 200),
-        batch_size=tblock.get("batch_size", 32),
-        learning_rate=tblock.get("learning_rate", 1e-3),
-        l2_weight=tblock.get("l2_weight", 0.0),
-        seed=cfg["seed"],
-        solver=_solver_from(cfg, default_tol=1e-6),
-    )
+    tcfg = TrainConfig(**cfg.get("train", {}), seed=cfg["seed"], solver=_solver_from(cfg, tol=1e-6))
     report = train(model, reg, train_ds, tcfg, dev_ds=dev_ds)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -402,7 +364,7 @@ def cmd_eval(args) -> int:
             f"model expects ({model.d}, {model.k})"
         )
     reg = _regularizer_from(cfg, model.k)
-    solver = _solver_from(cfg, default_tol=1e-8)
+    solver = _solver_from(cfg)
     P = predict_marginals(model, params, reg, target.X, solver)
     acc = float(np.mean((P > 0.5).astype(float) == target.Y))
     if cfg.get("output"):
@@ -439,9 +401,7 @@ def _screen_spen(energy, reg, v, y, rng: np.random.Generator, solver: SolverConf
     raise EvaluationError(f"no spen draw cleared the prior-net kinks in {SPEN_SCREEN_MAX_DRAWS} draws")
 
 
-def _gradcheck_instance(
-    family: str, k: int, d: int, rng: np.random.Generator, reg_kind: str, gamma: float, solver: SolverConfig
-):
+def _gradcheck_instance(family: str, k: int, d: int, rng: np.random.Generator, reg_block: dict, solver: SolverConfig):
     """One random (energy, v, y) triple with kink-avoiding margins."""
     if family == "bilinear":
         energy = BilinearEnergy(rng.standard_normal((d, k)))
@@ -468,11 +428,11 @@ def _gradcheck_instance(
         v[np.argsort(v)[-1]] += 0.5  # keep the max unique
 
     if family == "linear_quadratic":
-        reg = make_regularizer("squared_l2", k, gamma=gamma, domain=reals(k))
+        reg = make_regularizer(**{**reg_block, "kind": "squared_l2"}, k=k, domain=reals(k))
         y = rng.standard_normal(k)
     else:
         # maxout and lse_net have scalar outputs regardless of the config k
-        reg = make_regularizer(reg_kind, energy.k, gamma=gamma, domain=box01(energy.k))
+        reg = make_regularizer(**reg_block, k=energy.k, domain=box01(energy.k))
         y = rng.uniform(0.05, 0.95, size=energy.k)
     if family == "spen":
         v, y = _screen_spen(energy, reg, v, y, rng, solver)
@@ -486,14 +446,12 @@ def cmd_gradcheck(args) -> int:
     d = cfg.get("d", 4)
     n = cfg.get("instances", 50)
     tol = cfg.get("tolerance", 1e-5)
-    reg_block = cfg.get("regularizer", {})
-    solver = _solver_from(cfg, default_tol=1e-8)
+    reg_block = cfg.get("regularizer", {"kind": "gini_binary"})
+    solver = _solver_from(cfg)
     rng = rng_from_seed(cfg["seed"])
     worst = 0.0
     for _ in range(n):
-        energy, reg, v, y = _gradcheck_instance(
-            family, k, d, rng, reg_block.get("kind", "gini_binary"), reg_block.get("gamma", 1.0), solver
-        )
+        energy, reg, v, y = _gradcheck_instance(family, k, d, rng, reg_block, solver)
         envelope = gfy_loss(energy, reg, v, y, solver).grad_v
         fd = input_grad_finite_diff(energy, v, lambda vv: gfy_loss(energy, reg, vv, y, solver).value)
         worst = max(worst, rel_err(energy.input_to_vec(envelope), energy.input_to_vec(fd)))
@@ -528,7 +486,7 @@ def cmd_conjbench(args) -> int:
     reg = _regularizer_from(
         cfg, energy.k, default_kind="squared_l2" if energy.kind == "linear_quadratic" else "gini_binary"
     )
-    solver = _solver_from(cfg, default_tol=1e-8)
+    solver = _solver_from(cfg)
     trace: list = []
     res = conjugate(energy, reg, v, solver, trace=trace)
     print(f"value {_fmt(res.value)}")
@@ -549,9 +507,8 @@ def cmd_calibcheck(args) -> int:
     cfg = _load_config(args.config, "calibcheck")
     k = cfg["k"]
     rng = rng_from_seed(cfg["seed"])
-    reg_block = cfg.get("regularizer", {"kind": "gini_binary"})
-    reg = make_regularizer(reg_block.get("kind", "gini_binary"), k, gamma=reg_block.get("gamma", 1.0))
-    solver = _solver_from(cfg, default_tol=1e-10)
+    reg = _regularizer_from(cfg, k)
+    solver = _solver_from(cfg, tol=1e-10)
     n_v = cfg.get("n_v", 100)
     scale = cfg.get("v_scale", 3.0)
     q = rng.dirichlet(np.ones(2**k))

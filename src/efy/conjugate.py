@@ -24,6 +24,7 @@ from .energies import Energy, LinearQuadraticEnergy, PairwiseEnergy
 from .exceptions import (
     ContractViolation,
     DivergenceError,
+    EvaluationError,
     InfeasibleError,
     SingularMatrixError,
     UnsupportedOperation,
@@ -101,7 +102,8 @@ def projected_gradient_ascent(
             cand = domain.project(p + t * g)
             fc = value_fn(cand)
             move = cand - p
-            if math.isfinite(fc) and fc >= fp + cfg.sufficient_increase / t * float(move @ move):
+            # a step shrunk to zero cannot move; the search then ends stalled
+            if math.isfinite(fc) and t > 0.0 and fc >= fp + cfg.sufficient_increase / t * float(move @ move):
                 break
             t *= cfg.shrink
         else:
@@ -132,7 +134,11 @@ def coordinate_ascent_box_quadratic(
     if U.shape != (u.size, u.size):
         raise ContractViolation("coupling matrix shape must match the unary scores")
     Us = 0.5 * (U + U.T)
-    if Us.size and np.linalg.eigvalsh(Us)[-1] > NSD_EIG_TOL:
+    try:
+        top = np.linalg.eigvalsh(Us)[-1] if Us.size else 0.0
+    except np.linalg.LinAlgError as exc:  # a non-finite coupling
+        raise EvaluationError(f"coupling eigenvalues did not converge: {exc}") from exc
+    if top > NSD_EIG_TOL:
         raise ContractViolation("coordinate ascent requires a negative semidefinite coupling")
     k = u.size
     p = np.full(k, 0.5)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .conjugate import SolverConfig, coordinate_ascent_box_quadratic
 from .exceptions import ContractViolation, ParseError
-from .models import UnaryModel
 from .numerics import rng_from_seed
 
 STD_FLOOR = 1e-8

@@ -261,7 +261,9 @@ def save_params(path, model: Model, params, seed: int | None = None):
         fh.write(flatten(params).astype("<f8").tobytes())
 
 
-# The make_model arguments a header carries; only the first three are required.
+# The make_model arguments a header carries, with the type each must have when
+# present; only the first three are required, and an absent optional key takes
+# make_model's default.
 _HEADER_TYPES = {"architecture": str, "d": int, "k": int, "hidden": int, "prior_hidden": int, "concave": bool}
 
 
@@ -284,16 +286,9 @@ def load_params(path) -> tuple[Model, object, dict]:
         raise ParseError(f"unsupported parameter format {header.get('format')!r}")
     for key, typ in _HEADER_TYPES.items():
         value = header.get(key)
-        if type(value) is not typ and (value is not None or key in ("architecture", "d", "k")):
+        if type(value) is not typ and (key in header or key in ("architecture", "d", "k")):
             raise ParseError(f"parameter header field {key!r} must be a {typ.__name__}, got {value!r}")
-    model = make_model(
-        header["architecture"],
-        header["d"],
-        header["k"],
-        hidden=header.get("hidden"),
-        prior_hidden=header.get("prior_hidden", 4),
-        concave=header.get("concave", True),
-    )
+    model = make_model(**{key: header[key] for key in _HEADER_TYPES if key in header})
     expected = _tensor_list(model._params_like)
     if header.get("tensors") != expected:
         raise ParseError(f"parameter header tensors do not match the {model.architecture} model's {expected}")

@@ -23,6 +23,8 @@ SYMMETRY_TOL = 1e-12
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Deterministic generator; identical seeds give bit-identical streams."""
+    if seed < 0:
+        raise ContractViolation(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -21,6 +21,7 @@ from .exceptions import (
     ContractViolation,
     DivergenceError,
     DomainBoundaryError,
+    EvaluationError,
     UnsupportedOperation,
 )
 from .numerics import as_vec
@@ -56,6 +57,8 @@ def _project_simplex(z: np.ndarray) -> np.ndarray:
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, z.size + 1)
     cond = u - css / idx > 0
+    if not cond.any():  # only a non-finite point leaves no breakpoint
+        raise EvaluationError("cannot project a non-finite point onto the simplex")
     rho = int(idx[cond][-1])
     theta = css[cond][-1] / rho
     return np.maximum(z - theta, 0.0)

@@ -68,7 +68,7 @@ class TrainReport:
     wall_time: float
 
 
-def sample_loss(model: Model, energy, reg: Regularizer, loss_kind: str, v, y, solver: SolverConfig):
+def sample_loss(energy, reg: Regularizer, loss_kind: str, v, y, solver: SolverConfig):
     if loss_kind == "gfy":
         return gfy_loss(energy, reg, v, y, solver)
     if loss_kind == "perceptron":
@@ -95,7 +95,7 @@ def objective_value(
     total = 0.0
     for i in range(X.shape[0]):
         v = model.forward(params, X[i])
-        total += sample_loss(model, energy, reg, loss_kind, v, Y[i], solver).value
+        total += sample_loss(energy, reg, loss_kind, v, Y[i], solver).value
     theta = model.params_to_vec(params)
     return total / X.shape[0] + 0.5 * l2_weight * float(theta @ theta)
 
@@ -119,7 +119,7 @@ def batch_gradient(
     for i in range(X.shape[0]):
         try:
             v = model.forward(params, X[i])
-            le = sample_loss(model, energy, reg, loss_kind, v, Y[i], solver)
+            le = sample_loss(energy, reg, loss_kind, v, Y[i], solver)
         except (EvaluationError, DivergenceError) as exc:
             raise TrainingDivergence(f"diverged at sample {index_offset + i}: {exc}") from exc
         if not math.isfinite(le.value):

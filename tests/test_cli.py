@@ -1,7 +1,9 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from efy import (
     EvaluationError,
@@ -16,6 +18,9 @@ from efy import (
 )
 from efy import cli
 from efy.cli import main
+from efy.models import ARCHITECTURES
+from efy.regularizers import REGULARIZER_KINDS
+from efy.training import LOSS_KINDS
 
 from support import rewrite_params_header
 
@@ -78,6 +83,15 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "c.json", spec)
         assert main(["train", "--config", cfg]) == 2
         assert "exactly one" in capsys.readouterr().err
+
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, "train.json", synthetic_train_config(tmp_path, seed=-1))
+        assert main(["train", "--config", cfg]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        monkeypatch.setenv("EFY_SEED", "-4")
+        cfg = write_config(tmp_path, "grad.json", {"family": "bilinear", "instances": 1})
+        assert main(["gradcheck", "--config", cfg]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_usage_errors(self, capsys):
         assert main([]) == 2
@@ -335,3 +349,116 @@ class TestCalibcheck:
         rows = [r.split(",") for r in lines[2:]]
         assert len(rows) == 20
         assert all(r[3] == "1" for r in rows)
+
+
+# Schema-valid train configs. Sizes are capped for run time only (an omitted
+# epochs or max_iters would mean 200 epochs or 10000 iterations); every other
+# value ranges over what the schema admits.
+POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+NONNEGATIVE = st.floats(min_value=0.0, max_value=1e300)
+FRACTION = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+DIM = st.integers(1, 4)
+LIBSVM_TEXT = "1,2 1:0.5 3:-1.0\n2 2:1.5\n1:0.25 4:2.0\n3,4 1:-0.5 2:0.75\n"
+
+SYNTHETIC = st.fixed_dictionaries(
+    {"n": st.integers(1, 30), "d": DIM, "k": DIM},
+    optional={"seed": st.integers(), "coupling": NONNEGATIVE, "unary_scale": NONNEGATIVE, "gamma": POSITIVE},
+)
+LIBSVM_FILE = {"n_features": DIM, "n_labels": DIM, "labels_one_based": st.booleans()}
+TRAIN_CONFIGS = st.fixed_dictionaries(
+    {
+        "output_dir": st.just("out"),
+        "dataset": st.one_of(
+            st.fixed_dictionaries({"synthetic": SYNTHETIC}),
+            st.fixed_dictionaries({"path": st.just("data.txt")}, optional=LIBSVM_FILE),
+            st.fixed_dictionaries({}, optional={"synthetic": SYNTHETIC, "path": st.just("data.txt"), **LIBSVM_FILE}),
+        ),
+        "model": st.fixed_dictionaries(
+            {"architecture": st.sampled_from(ARCHITECTURES)},
+            optional={"hidden": st.integers(1, 3), "prior_hidden": st.integers(1, 3), "concave": st.booleans()},
+        ),
+        "regularizer": st.fixed_dictionaries(
+            {"kind": st.sampled_from(REGULARIZER_KINDS)}, optional={"gamma": POSITIVE}
+        ),
+        "train": st.fixed_dictionaries(
+            {"epochs": st.integers(1, 2)},
+            optional={
+                "loss": st.sampled_from(LOSS_KINDS),
+                "batch_size": st.integers(min_value=1),
+                "learning_rate": POSITIVE,
+                "l2_weight": NONNEGATIVE,
+            },
+        ),
+        "solver": st.fixed_dictionaries(
+            {"max_iters": st.integers(1, 50)},
+            optional={"tol": POSITIVE, "init_step": POSITIVE, "shrink": OPEN_UNIT, "sufficient_increase": OPEN_UNIT},
+        ),
+    },
+    optional={
+        "seed": st.integers(),
+        "split": st.fixed_dictionaries(
+            {},
+            optional={
+                "test_fraction": FRACTION,
+                "dev_fraction": FRACTION,
+                "seed": st.integers(),
+                "standardize": st.booleans(),
+            },
+        ),
+    },
+)
+
+
+TRAIN_SCHEMA = jsonschema.Draft202012Validator(cli.SCHEMAS["train"])
+
+
+def _train_spec(**blocks):
+    return {
+        "output_dir": "out",
+        "dataset": {"synthetic": {"n": 12, "d": 2, "k": 2}},
+        "model": {"architecture": "pairwise"},
+        "regularizer": {"kind": "gini_binary"},
+        "train": {"epochs": 1},
+        "solver": {"max_iters": 50},
+        **blocks,
+    }
+
+
+@settings(
+    max_examples=700,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(spec=TRAIN_CONFIGS)
+# an infinite planted coupling: eigvalsh raised LinAlgError
+@example(
+    spec=_train_spec(
+        dataset={
+            "synthetic": {"n": 28, "d": 2, "k": 3, "seed": 0, "coupling": 2e299, "unary_scale": 1e-300, "gamma": 5}
+        }
+    )
+)
+# a non-finite point: the simplex projection raised IndexError
+@example(
+    spec=_train_spec(
+        model={"architecture": "spen", "hidden": 1, "concave": False},
+        regularizer={"kind": "shannon_simplex", "gamma": 5e299},
+    )
+)
+# a line-search step shrunk to zero: the Armijo test raised ZeroDivisionError
+@example(spec=_train_spec(regularizer={"kind": "squared_l2"}, solver={"max_iters": 1, "init_step": 5e-324}))
+# negative seeds: default_rng raised ValueError
+@example(spec=_train_spec(seed=-1))
+@example(spec=_train_spec(split={"test_fraction": 0.5, "seed": -3}))
+def test_schema_valid_train_configs_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, spec):
+    TRAIN_SCHEMA.validate(spec)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EFY_SEED", raising=False)
+    (tmp_path / "data.txt").write_text(LIBSVM_TEXT)
+    cfg = write_config(tmp_path, "train.json", spec)
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", cfg]) in (0, 2, 3, 4)
+    capsys.readouterr()

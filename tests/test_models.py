@@ -297,6 +297,16 @@ class TestSerialization:
             with pytest.raises(ParseError):
                 load_params(path)
 
+    def test_null_optional_fields(self, tmp_path):
+        # a present optional field must be typed: null is not "use the default"
+        model = make_model("spen", d=3, k=2, hidden=2)
+        path = tmp_path / "p.bin"
+        for edit in (lambda h: h.update(prior_hidden=None), lambda h: h.update(concave=None)):
+            save_params(path, model, model.init_params(0))
+            rewrite_params_header(path, edit)
+            with pytest.raises(ParseError, match="must be a"):
+                load_params(path)
+
     def test_reshaped_tensors_of_the_same_total_size(self, tmp_path):
         model = make_model("unary", d=3, k=2, hidden=2)
         path = tmp_path / "p.bin"
