@@ -7,9 +7,10 @@ it feeds (``dataset.synthetic`` -> ``planted_pairwise``, ``dataset`` with a
 ``path`` -> ``parse_libsvm_multilabel``, ``model`` -> ``make_model``,
 ``regularizer`` -> ``make_regularizer``, ``train`` -> ``TrainConfig``,
 ``solver`` -> ``SolverConfig``), so an omitted key takes that function's
-default. The ``EFY_SEED`` environment variable overrides the config seed.
-Output files start with a provenance header line carrying the config hash and
-the effective seed.
+default; for ``train`` the ``solver`` block overrides fields of
+``TrainConfig``'s own default solver. The ``EFY_SEED`` environment variable
+overrides the config seed. Output files start with a provenance header line
+carrying the config hash and the effective seed.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical divergence,
 4 check failure.
@@ -21,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -318,7 +320,8 @@ def cmd_train(args) -> int:
     train_ds, dev_ds, test_ds = _prepare_splits(cfg)
     model = make_model(d=train_ds.d, k=train_ds.k, **cfg["model"])
     reg = _regularizer_from(cfg, train_ds.k)
-    tcfg = TrainConfig(**cfg.get("train", {}), seed=cfg["seed"], solver=_solver_from(cfg, tol=1e-6))
+    tcfg = TrainConfig(**cfg.get("train", {}), seed=cfg["seed"])
+    tcfg = replace(tcfg, solver=replace(tcfg.solver, **cfg.get("solver", {})))
     report = train(model, reg, train_ds, tcfg, dev_ds=dev_ds)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,14 @@
 """Generalized conjugates ``max_{p in C} Phi(v, p) - Omega(p)``.
 
-The oracle dispatches to the cheapest faithful solver:
+The oracle dispatches on the energy's declared ``p_structure`` to the
+cheapest faithful solver:
 
-1. energies declaring ``p_structure == "linear"`` (``Phi = <linear_score(v), p>``)
-   -> the regularizer's own closed-form map,
-2. linear-quadratic + squared L2 over R^k -> one SPD solve,
-3. pairwise + quadratic negentropy over the box -> coordinate ascent,
+1. "linear" (``Phi = <linear_score(v), p>``) -> the regularizer's own
+   closed-form map, when it has one;
+2. "quadratic_concave" (``quadratic(v) -> (A, b)``) + squared L2 over R^k
+   -> one SPD solve of ``(gamma I - sym(A)) p = b``;
+3. "quadratic_concave" + quadratic negentropy over the box -> exact
+   coordinate ascent (``A`` must be negative semidefinite);
 4. anything else -> projected gradient ascent with Armijo backtracking.
 
 Results carry the argmax, the envelope gradient ``grad_v Phi(v, p*)`` (no
@@ -20,7 +23,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .energies import Energy, LinearQuadraticEnergy, PairwiseEnergy
+from .energies import Energy
 from .exceptions import (
     ContractViolation,
     DivergenceError,
@@ -29,7 +32,7 @@ from .exceptions import (
     SingularMatrixError,
     UnsupportedOperation,
 )
-from .numerics import NSD_EIG_TOL, as_mat, as_vec, assert_finite, rng_from_seed, solve_spd
+from .numerics import as_mat, as_vec, assert_finite, is_negative_semidefinite, rng_from_seed, solve_spd
 from .regularizers import GiniBinary, Regularizer, SquaredL2
 
 MAX_LINE_SEARCH_SHRINKS = 50
@@ -135,10 +138,10 @@ def coordinate_ascent_box_quadratic(
         raise ContractViolation("coupling matrix shape must match the unary scores")
     Us = 0.5 * (U + U.T)
     try:
-        top = np.linalg.eigvalsh(Us)[-1] if Us.size else 0.0
+        nsd = is_negative_semidefinite(Us)
     except np.linalg.LinAlgError as exc:  # a non-finite coupling
         raise EvaluationError(f"coupling eigenvalues did not converge: {exc}") from exc
-    if top > NSD_EIG_TOL:
+    if not nsd:
         raise ContractViolation("coordinate ascent requires a negative semidefinite coupling")
     k = u.size
     p = np.full(k, 0.5)
@@ -194,9 +197,9 @@ def conjugate(
     coordinate ascent ignore it (their solutions do not depend on the start).
     """
     cfg = cfg or SolverConfig()
+    if reg.domain.dim != energy.k:
+        raise ContractViolation("regularizer dimension must match the energy output")
     if energy.p_structure == "linear":
-        if reg.domain.dim != energy.k:
-            raise ContractViolation("regularizer dimension must match the energy output")
         score = energy.linear_score(v)
         try:
             p = reg.argmax_map(score)
@@ -206,27 +209,26 @@ def conjugate(
             return _finish(energy, v, p, value, "closed_form", 0, 0.0)
         except UnsupportedOperation:
             pass  # e.g. a restricted or simplex-indicator regularizer
-    elif isinstance(energy, LinearQuadraticEnergy):
+    elif energy.p_structure == "quadratic_concave":
+        A, b = energy.quadratic(v)
         if isinstance(reg, SquaredL2) and reg.domain.kind == "reals":
-            A = as_mat(v.A)
+            A = as_mat(A)
             M = reg.gamma * np.eye(energy.k) - 0.5 * (A + A.T)
             try:
-                p = solve_spd(M, v.b)
+                p = solve_spd(M, b)
             except SingularMatrixError as exc:
                 raise InfeasibleError(
                     f"gamma * I - A must be positive definite for this pair "
                     f"(gamma = {reg.gamma}): {exc}"
                 ) from exc
-            value = 0.5 * float(v.b @ p)
+            value = 0.5 * float(b @ p)
             if trace is not None:
                 trace.append((0, value, 0.0))
             return _finish(energy, v, p, value, "closed_form", 0, 0.0)
-    elif isinstance(energy, PairwiseEnergy) and isinstance(reg, GiniBinary):
-        if reg.domain.dim != energy.k:
-            raise ContractViolation("regularizer dimension must match the energy output")
-        p, status, iters, gap = coordinate_ascent_box_quadratic(v.u, v.U, reg.gamma, cfg, trace)
-        value = energy.value(v, p) - reg.value(p)
-        return _finish(energy, v, p, value, status, iters, gap)
+        if isinstance(reg, GiniBinary):
+            p, status, iters, gap = coordinate_ascent_box_quadratic(b, A, reg.gamma, cfg, trace)
+            value = energy.value(v, p) - reg.value(p)
+            return _finish(energy, v, p, value, status, iters, gap)
 
     value_fn, grad_fn = _pga_objective(energy, reg, v)
     p, status, iters, gap = projected_gradient_ascent(value_fn, grad_fn, reg.domain, cfg, p0=p0, trace=trace)

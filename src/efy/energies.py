@@ -7,9 +7,16 @@ flatten any input through the one field walk in :mod:`~efy.numerics`, so
 generic code (finite differences, smoothness probes, training) can treat
 ``v`` as one vector. Structure tags describe curvature:
 
-* ``p_structure``: "linear" (``Phi = <linear_score(v), p>``) | "quadratic_concave"
-  | "concave" | "nonconcave"
+* ``p_structure``: "linear" | "quadratic_concave" | "concave" | "nonconcave"
 * ``v_structure``: "linear" | "convex" | "nonconvex"
+
+The first two ``p_structure`` tags come with one declared form, from which
+the base class derives ``value`` and ``grad_p`` and the conjugate oracle
+picks its exact solve:
+
+* "linear": ``linear_score(v) -> s`` with ``Phi = <s, p>``;
+* "quadratic_concave": ``quadratic(v) -> (A, b)`` with
+  ``Phi = 0.5 <p, A p> + <b, p>`` (only the symmetric part of ``A`` acts).
 """
 from __future__ import annotations
 
@@ -109,11 +116,21 @@ class Energy:
         return p
 
     def value(self, v, p) -> float:
+        """``Phi(v, p)``, derived from the declared form of ``p_structure``."""
+        p = self.check_output(p)
+        if self.p_structure == "linear":
+            return float(self.linear_score(v) @ p)
+        if self.p_structure == "quadratic_concave":
+            A, b = self.quadratic(v)
+            return float(b @ p) + 0.5 * float(p @ (A @ p))
         raise NotImplementedError
 
     def grad_p(self, v, p) -> np.ndarray:
         if self.p_structure == "linear":
             return self.linear_score(v)
+        if self.p_structure == "quadratic_concave":
+            A, b = self.quadratic(v)
+            return b + 0.5 * (A + A.T) @ as_vec(p)
         raise NotImplementedError
 
     def grad_v(self, v, p):
@@ -149,9 +166,6 @@ class BilinearEnergy(Energy):
         self.U = U
         self.d = U.shape[0]
 
-    def value(self, v, p):
-        return float(as_vec(v) @ (self.U @ self.check_output(p)))
-
     def grad_v(self, v, p):
         return self.U @ as_vec(p)
 
@@ -163,22 +177,16 @@ class BilinearEnergy(Energy):
 class LinearQuadraticEnergy(Energy):
     """``Phi(v, p) = 0.5 <p, A p> + <p, b>`` with input ``v = (A, b)``.
 
-    ``p`` ranges over all of R^k; the paired conjugate has a closed form
-    whenever ``gamma I - A`` is positive definite.
+    ``p`` ranges over all of R^k; paired with squared L2 the conjugate has a
+    closed form whenever ``gamma I - A`` is positive definite.
     """
 
     kind = "linear_quadratic"
     p_structure = "quadratic_concave"
     v_structure = "linear"
 
-    def value(self, v, p):
-        p = self.check_output(p)
-        return 0.5 * float(p @ (v.A @ p)) + float(p @ v.b)
-
-    def grad_p(self, v, p):
-        p = as_vec(p)
-        # Only the symmetric part of A acts on the quadratic form.
-        return 0.5 * (v.A + v.A.T) @ p + v.b
+    def quadratic(self, v):
+        return v.A, v.b
 
     def grad_v(self, v, p):
         p = as_vec(p)
@@ -209,13 +217,8 @@ class PairwiseEnergy(Energy):
     p_structure = "quadratic_concave"
     v_structure = "linear"
 
-    def value(self, v, p):
-        p = self.check_output(p)
-        return float(v.u @ p) + 0.5 * float(p @ (v.U @ p))
-
-    def grad_p(self, v, p):
-        p = as_vec(p)
-        return v.u + 0.5 * (v.U + v.U.T) @ p
+    def quadratic(self, v):
+        return v.U, v.u
 
     def grad_v(self, v, p):
         p = as_vec(p)
@@ -248,9 +251,6 @@ class RectifierEnergy(Energy):
         self.U = U
         self.d = U.shape[0]
 
-    def value(self, v, p):
-        return float(relu(as_vec(v)) @ (self.U @ self.check_output(p)))
-
     def grad_v(self, v, p):
         v = as_vec(v)
         return np.where(v > 0.0, self.U @ as_vec(p), 0.0)
@@ -269,9 +269,6 @@ class MaxoutEnergy(Energy):
     def __init__(self, d: int):
         super().__init__(1)
         self.d = d
-
-    def value(self, v, p):
-        return float(self.check_output(p)[0]) * float(np.max(as_vec(v)))
 
     def grad_v(self, v, p):
         v = as_vec(v)
@@ -296,9 +293,6 @@ class LogSumExpEnergy(Energy):
         super().__init__(1)
         self.d = d
         self.gamma = gamma
-
-    def value(self, v, p):
-        return float(self.check_output(p)[0]) * lse(v, self.gamma)
 
     def grad_v(self, v, p):
         return float(as_vec(p)[0]) * softmax(v, self.gamma)

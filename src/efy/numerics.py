@@ -46,8 +46,9 @@ def as_sym_mat(x, name: str = "matrix", tol: float = SYMMETRY_TOL) -> np.ndarray
     m = as_mat(x, name)
     if m.shape[0] != m.shape[1]:
         raise ContractViolation(f"{name} must be square, got shape {m.shape}")
-    skew = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if skew > tol * max(1.0, float(np.max(np.abs(m)))):
+    skew = np.abs(m - m.T).max() if m.size else 0.0
+    # exactly symmetric input, the common case, skips the scale reduction
+    if skew > 0.0 and skew > tol * max(1.0, float(np.abs(m).max())):
         raise ContractViolation(f"{name} is not symmetric (max |M - M^T| = {skew:.3e})")
     return m
 
@@ -91,29 +92,16 @@ def rel_err(approx, reference) -> float:
 
 
 def is_negative_semidefinite(m, tol: float = NSD_EIG_TOL) -> bool:
-    """True when the largest eigenvalue of symmetric ``m`` is <= ``tol``."""
+    """True when the largest eigenvalue of symmetric ``m`` is <= ``tol * max(1, max|m|)``.
+
+    The tolerance is relative because the rounding error of the eigenvalues
+    grows with the scale of the matrix.
+    """
     m = as_sym_mat(m)
     if m.size == 0:
         return True
-    return bool(np.linalg.eigvalsh(m)[-1] <= tol)
-
-
-def cholesky_spd(m) -> np.ndarray:
-    """Lower-triangular L with ``m = L L^T``.
-
-    Raises :class:`SingularMatrixError` naming the first non-positive pivot.
-    """
-    a = as_sym_mat(m, "SPD matrix")
-    k = a.shape[0]
-    lower = np.zeros_like(a)
-    for j in range(k):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise SingularMatrixError(j, float(pivot))
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < k:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
+    scale = max(1.0, float(np.abs(m).max()))
+    return bool(np.linalg.eigvalsh(m)[-1] <= tol * scale)
 
 
 def solve_spd(m, b) -> np.ndarray:
@@ -121,7 +109,7 @@ def solve_spd(m, b) -> np.ndarray:
 
     Uses a square-root-free LDL^T factorization so systems with dyadic
     rational entries solve exactly. Raises :class:`SingularMatrixError`
-    naming the first non-positive pivot, like :func:`cholesky_spd`.
+    naming the first non-positive pivot.
     """
     a = as_sym_mat(m, "SPD matrix")
     b = as_vec(b, "right-hand side")

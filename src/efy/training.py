@@ -32,6 +32,11 @@ LOSS_KINDS = ("gfy", "perceptron", "energy", "xent")
 DEFAULT_L2_GRID = tuple(np.logspace(-4, 1, 5))
 DEFAULT_LR_GRID = tuple(np.logspace(-5, -1, 10))
 
+# ADAM moment decays and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -40,9 +45,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     l2_weight: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     solver: SolverConfig = field(default_factory=lambda: SolverConfig(tol=1e-6, max_iters=2000))
 
@@ -55,8 +57,6 @@ class TrainConfig:
             raise ContractViolation("learning_rate must be positive")
         if self.l2_weight < 0:
             raise ContractViolation("l2_weight must be nonnegative")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ContractViolation("ADAM moment decays must lie in [0, 1)")
 
 
 @dataclass
@@ -109,9 +109,14 @@ def batch_gradient(
     Y: np.ndarray,
     l2_weight: float,
     solver: SolverConfig,
-    index_offset: int = 0,
+    rows: np.ndarray | range | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Mean parameter gradient and mean loss over the rows of ``X``/``Y``."""
+    """Mean parameter gradient and mean loss over the rows of ``X``/``Y``.
+
+    ``rows`` gives the dataset row number of each batch row (default
+    ``range(B)``); a divergence message names the failing row by it.
+    """
+    rows = range(X.shape[0]) if rows is None else rows
     energy = model.energy()
     theta = model.params_to_vec(params)
     grad = np.zeros_like(theta)
@@ -121,16 +126,16 @@ def batch_gradient(
             v = model.forward(params, X[i])
             le = sample_loss(energy, reg, loss_kind, v, Y[i], solver)
         except (EvaluationError, DivergenceError) as exc:
-            raise TrainingDivergence(f"diverged at sample {index_offset + i}: {exc}") from exc
+            raise TrainingDivergence(f"diverged at sample {rows[i]}: {exc}") from exc
         if not math.isfinite(le.value):
-            raise TrainingDivergence(f"non-finite loss at sample {index_offset + i}")
+            raise TrainingDivergence(f"non-finite loss at sample {rows[i]}")
         total += le.value
         grad += model.params_to_vec(model.vjp(params, X[i], le.grad_v))
     grad /= X.shape[0]
     total /= X.shape[0]
     grad += l2_weight * theta
     if not np.all(np.isfinite(grad)):
-        raise TrainingDivergence(f"non-finite gradient in batch starting at sample {index_offset}")
+        raise TrainingDivergence(f"non-finite gradient in the batch of samples {', '.join(map(str, rows))}")
     return grad, total + 0.5 * l2_weight * float(theta @ theta)
 
 
@@ -179,15 +184,15 @@ def train(
             grad, bloss = batch_gradient(
                 model, params, reg, cfg.loss,
                 train_ds.X[idx], train_ds.Y[idx],
-                cfg.l2_weight, cfg.solver, index_offset=int(idx[0]),
+                cfg.l2_weight, cfg.solver, rows=idx,
             )
             epoch_loss += bloss * idx.size
             step += 1
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-            s = cfg.beta2 * s + (1.0 - cfg.beta2) * grad * grad
-            m_hat = m / (1.0 - cfg.beta1**step)
-            s_hat = s / (1.0 - cfg.beta2**step)
-            theta = theta - cfg.learning_rate * m_hat / (np.sqrt(s_hat) + cfg.eps)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            s = ADAM_BETA2 * s + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - ADAM_BETA1**step)
+            s_hat = s / (1.0 - ADAM_BETA2**step)
+            theta = theta - cfg.learning_rate * m_hat / (np.sqrt(s_hat) + ADAM_EPS)
             params = model.vec_to_params(theta)
         losses.append(epoch_loss / train_ds.n)
         if dev_ds is not None:

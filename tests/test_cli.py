@@ -450,6 +450,8 @@ def _train_spec(**blocks):
 )
 # a line-search step shrunk to zero: the Armijo test raised ZeroDivisionError
 @example(spec=_train_spec(regularizer={"kind": "squared_l2"}, solver={"max_iters": 1, "init_step": 5e-324}))
+# the same step through projected ascent, which pairwise + squared_l2 over R^k no longer takes
+@example(spec=_train_spec(train={"epochs": 1, "loss": "perceptron"}, solver={"max_iters": 1, "init_step": 5e-324}))
 # negative seeds: default_rng raised ValueError
 @example(spec=_train_spec(seed=-1))
 @example(spec=_train_spec(split={"test_fraction": 0.5, "seed": -3}))

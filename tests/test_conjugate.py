@@ -78,6 +78,22 @@ class TestClosedForms:
             np.testing.assert_allclose(res.argmax, reg.argmax_map(U.T @ v), atol=1e-12)
             assert res.value == pytest.approx(reg.conjugate_value(U.T @ v))
 
+    def test_pairwise_squared_l2_over_reals_is_an_spd_solve(self):
+        rng = rng_from_seed(4)
+        energy = PairwiseEnergy(4)
+        for gamma in (0.3, 1.0, 2.5):
+            reg = SquaredL2(gamma, reals(4))
+            for _ in range(10):
+                skew = rng.standard_normal((4, 4))
+                v = PairwiseInput(u=rng.standard_normal(4), U=random_nsd(rng, 4) + skew - skew.T)
+                res = conjugate(energy, reg, v)
+                assert res.status == "closed_form"
+                p = res.argmax
+                # stationarity of <u, p> + 0.5 <p, U p> - (gamma / 2) ||p||^2
+                resid = v.u + 0.5 * (v.U + v.U.T) @ p - gamma * p
+                assert float(np.max(np.abs(resid))) <= 1e-12
+                assert res.value == pytest.approx(energy.value(v, p) - reg.value(p), rel=1e-12, abs=1e-12)
+
     def test_infeasible_shift_raises(self):
         energy = LinearQuadraticEnergy(2)
         reg = SquaredL2(0.5, reals(2))
@@ -254,6 +270,15 @@ class TestCoordinateAscent:
     def test_rejects_positive_curvature(self):
         with pytest.raises(ContractViolation):
             coordinate_ascent_box_quadratic(np.zeros(2), np.eye(2), 1.0)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_accepts_large_rank_one_couplings(self, scale):
+        rng = rng_from_seed(0)
+        for _ in range(5):
+            a = scale * rng.standard_normal(4)
+            p, status, _, _ = coordinate_ascent_box_quadratic(rng.standard_normal(4), -np.outer(a, a), 0.5)
+            assert status == "converged"
+            assert float(np.min(p)) >= 0.0 and float(np.max(p)) <= 1.0
 
     def test_tolerates_asymmetric_coupling(self):
         # only the symmetric part matters; asymmetric inputs must not crash

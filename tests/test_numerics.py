@@ -13,7 +13,6 @@ from efy import (
     reals,
 )
 from efy.numerics import (
-    cholesky_spd,
     finite_diff_grad,
     flatten,
     is_negative_semidefinite,
@@ -82,6 +81,15 @@ class TestIsNegativeSemidefinite:
             a = rng.standard_normal(4)
             assert is_negative_semidefinite(-np.outer(a, a))
 
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_rank_one_gram_at_large_scale(self, scale):
+        # eigenvalue rounding grows with the entries, so the tolerance must too
+        rng = rng_from_seed(0)
+        for _ in range(20):
+            a = scale * rng.standard_normal(4)
+            assert is_negative_semidefinite(-np.outer(a, a))
+            assert not is_negative_semidefinite(-np.outer(a, a) + 1e-6 * scale**2 * np.eye(4))
+
     def test_positive_definite_rejected(self):
         assert not is_negative_semidefinite(np.eye(3))
 
@@ -116,7 +124,7 @@ class TestSolveSpd:
     def test_non_pd_names_failing_pivot(self):
         M = np.diag([1.0, -2.0, 3.0])
         with pytest.raises(SingularMatrixError) as err:
-            cholesky_spd(M)
+            solve_spd(M, np.ones(3))
         assert err.value.pivot == 1
         assert "pivot 1" in str(err.value)
 

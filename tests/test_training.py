@@ -135,6 +135,15 @@ class TestTrainingRuns:
             with pytest.raises(TrainingDivergence, match="sample"):
                 train(model, reg, ds, cfg)
 
+    def test_divergence_names_the_dataset_row(self):
+        # batches are shuffled slices, so the row is not the batch's first index plus i
+        ds = planted_pairwise(40, 4, 2, seed=0)
+        ds.X[17, 0] = np.nan
+        model = make_model("unary", d=4, k=2)
+        cfg = TrainConfig(batch_size=8, seed=0)
+        with pytest.raises(TrainingDivergence, match=r"diverged at sample 17:"):
+            train(model, GiniBinary(1.0, 2), ds, cfg)
+
     def test_dimension_mismatch(self):
         ds = small_dataset()
         model = make_model("unary", d=5, k=2)
@@ -200,5 +209,3 @@ class TestConfigValidation:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ContractViolation):
             TrainConfig(l2_weight=-1.0)
-        with pytest.raises(ContractViolation):
-            TrainConfig(beta1=1.0)
