@@ -2,10 +2,10 @@
 
 A discrete target loss is handled through an affine decomposition
 
-    L(y_hat, y) = <phi(y_hat), V phi(y) + b> + c(y)
+    L(y_hat, y) = <y_hat, V y + b> + c(y)
 
 so that decoding a continuous prediction ``p`` is a linear argmin over the
-label set and the comparison constant ``sigma = sup_y ||V^T phi(y)||`` is
+label set and the comparison constant ``sigma = sup_y ||V^T y||`` is
 computable by enumeration. For the normalized Hamming loss the decomposition
 is ``V = -(2/k) I``, ``b = (1/k) 1``, ``c(y) = (1/k) sum_j y_j`` and decoding
 reduces to thresholding at 1/2 (exact ties resolve to 0).
@@ -15,8 +15,8 @@ reduces to thresholding at 1/2 (exact ties resolve to 0).
     xi(target_excess) <= surrogate_excess,   xi(eps) = eps^2 / (8 sigma^2 M),
 
 where M is the smoothness of the surrogate in its input (exact for bilinear
-couplings with strongly convex regularizers, estimated and inflated 2x for
-the pairwise quadratic embedding).
+couplings with strongly convex regularizers, estimated and inflated
+``SMOOTHNESS_INFLATION``-fold for the pairwise quadratic embedding).
 """
 from __future__ import annotations
 
@@ -36,6 +36,10 @@ from .numerics import as_vec, rng_from_seed
 from .regularizers import Regularizer
 
 MAX_ENUM_LABELS = 20
+# Multistarts of the pairwise Bayes-risk minimization, and the safety factor
+# on the sampled smoothness of the pairwise surrogate.
+BAYES_RISK_STARTS = 4
+SMOOTHNESS_INFLATION = 2.0
 
 
 def enumerate_labels(k: int) -> np.ndarray:
@@ -50,20 +54,15 @@ class AffineDecomposition:
     V: np.ndarray
     b: np.ndarray
     c: Callable[[np.ndarray], float]
-    phi: Callable[[np.ndarray], np.ndarray] = field(default=lambda y: y)
-    k: int = 0
-    sigma: float = 0.0
+    k: int = field(init=False)
+    sigma: float = field(init=False)
 
     def __post_init__(self):
-        if self.k == 0:
-            self.k = self.b.size
-        labels = enumerate_labels(self.k)
-        self.sigma = max(float(np.linalg.norm(self.V.T @ self.phi(y))) for y in labels)
+        self.k = self.b.size
+        self.sigma = max(float(np.linalg.norm(self.V.T @ y)) for y in enumerate_labels(self.k))
 
     def loss(self, y_hat, y) -> float:
-        return float(self.phi(as_vec(y_hat)) @ (self.V @ self.phi(as_vec(y)) + self.b)) + float(
-            self.c(as_vec(y))
-        )
+        return float(as_vec(y_hat) @ (self.V @ as_vec(y) + self.b)) + float(self.c(as_vec(y)))
 
 
 def hamming_decomposition(k: int) -> AffineDecomposition:
@@ -76,17 +75,20 @@ def hamming_decomposition(k: int) -> AffineDecomposition:
 
 
 def decode(p, dec: AffineDecomposition) -> np.ndarray:
-    """``argmin_{y_hat} <phi(y_hat), V phi(p) + b>`` by enumeration; ties take
-    the earliest label in all-zeros-first order."""
+    """``argmin_{y_hat} <y_hat, V p + b>`` by enumeration; ties take the
+    earliest label in all-zeros-first order."""
     p = as_vec(p)
     labels = enumerate_labels(dec.k)
-    scores = np.array([float(dec.phi(y) @ (dec.V @ dec.phi(p) + dec.b)) for y in labels])
+    scores = np.array([float(y @ (dec.V @ p + dec.b)) for y in labels])
     return labels[int(np.argmin(scores))].copy()
 
 
-def hamming_decode(p) -> np.ndarray:
-    """Fast path for the Hamming decomposition: threshold at 1/2, ties to 0."""
-    return (as_vec(p) > 0.5).astype(float)
+def hamming_decode(P) -> np.ndarray:
+    """Fast path for the Hamming decomposition: threshold at 1/2, ties to 0.
+
+    ``P`` is one marginal vector or an ``(n, k)`` matrix of them.
+    """
+    return (np.asarray(P, dtype=float) > 0.5).astype(float)
 
 
 def accuracy(Y_hat, Y) -> float:
@@ -141,7 +143,6 @@ def _bayes_surrogate_risk_pairwise(
     labels: np.ndarray,
     cfg: SolverConfig | None,
     seed: int,
-    n_starts: int = 4,
 ) -> float:
     # Minimize the pointwise surrogate risk over (u, U = -A A^T) with the
     # envelope gradient; multistart keeps the estimate honest.
@@ -164,7 +165,7 @@ def _bayes_surrogate_risk_pairwise(
 
     rng = rng_from_seed(seed)
     best = math.inf
-    for s in range(n_starts):
+    for s in range(BAYES_RISK_STARTS):
         z0 = np.zeros(k + k * k) if s == 0 else rng.standard_normal(k + k * k)
         out = minimize(risk_and_grad, z0, jac=True, method="L-BFGS-B", options={"maxiter": 500})
         best = min(best, float(out.fun))
@@ -176,7 +177,6 @@ def estimate_smoothness(
     reg: Regularizer,
     v_samples: Sequence,
     cfg: SolverConfig | None = None,
-    inflation: float = 2.0,
 ) -> float:
     """Largest sampled gradient-difference ratio of the surrogate risk, inflated.
 
@@ -197,7 +197,7 @@ def estimate_smoothness(
             dv = float(np.linalg.norm(flats[i] - flats[j]))
             if dv > 1e-9:
                 ratio = max(ratio, float(np.linalg.norm(embeds[i] - embeds[j])) / dv)
-    return inflation * ratio
+    return SMOOTHNESS_INFLATION * ratio
 
 
 def comparison_bound(eps: float, sigma: float, M: float) -> float:
@@ -221,7 +221,6 @@ def calibration_check(
     q,
     v_samples: Sequence,
     dec: AffineDecomposition | None = None,
-    M: float | None = None,
     cfg: SolverConfig | None = None,
     slack: float = 1e-6,
     seed: int = 0,
@@ -234,14 +233,12 @@ def calibration_check(
         if not np.array_equal(energy.U, np.eye(energy.k)):
             raise ContractViolation("bilinear calibration checks assume the identity coupling")
         bayes = _bayes_surrogate_risk_bilinear(reg, q, labels)
-        if M is None:
-            if reg.strong_convexity <= 0:
-                raise ContractViolation("need a strongly convex regularizer (or explicit M)")
-            M = 1.0 / reg.strong_convexity
+        if reg.strong_convexity <= 0:
+            raise ContractViolation("need a strongly convex regularizer")
+        M = 1.0 / reg.strong_convexity
     elif isinstance(energy, PairwiseEnergy):
         bayes = _bayes_surrogate_risk_pairwise(reg, q, labels, cfg, seed)
-        if M is None:
-            M = estimate_smoothness(energy, reg, v_samples, cfg)
+        M = estimate_smoothness(energy, reg, v_samples, cfg)
     else:
         raise ContractViolation("calibration checks support bilinear and pairwise couplings")
 

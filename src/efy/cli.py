@@ -6,11 +6,13 @@ rejected). A block's keys are the keyword arguments of the library function
 it feeds (``dataset.synthetic`` -> ``planted_pairwise``, ``dataset`` with a
 ``path`` -> ``parse_libsvm_multilabel``, ``model`` -> ``make_model``,
 ``regularizer`` -> ``make_regularizer``, ``train`` -> ``TrainConfig``,
-``solver`` -> ``SolverConfig``), so an omitted key takes that function's
-default; for ``train`` the ``solver`` block overrides fields of
-``TrainConfig``'s own default solver. The ``EFY_SEED`` environment variable
-overrides the config seed. Output files start with a provenance header line
-carrying the config hash and the effective seed.
+``solver`` -> ``SolverConfig``). The block's schema is read from that
+function's signature (keys, JSON types, required keys; an integer key takes
+only a JSON integer, not ``1.0``), the function checks the values, and an
+omitted key takes its default. For ``train`` the ``solver`` block overrides
+fields of ``TrainConfig``'s own default solver. The ``EFY_SEED`` environment
+variable overrides the config seed. Output files start with a provenance
+header line carrying the config hash and the effective seed.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical divergence,
 4 check failure.
@@ -19,16 +21,18 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import jsonschema
 
-from .calibration import calibration_check, hamming_decode
+from .calibration import accuracy, calibration_check, hamming_decode
 from .conjugate import SolverConfig, conjugate
 from .data import MultilabelDataset, parse_libsvm_multilabel, planted_pairwise, split, standardize
 from .energies import (
@@ -55,10 +59,10 @@ from .exceptions import (
     UnsupportedOperation,
 )
 from .losses import gfy_loss, input_grad_finite_diff
-from .models import ARCHITECTURES, load_params, make_model, save_params
+from .models import load_params, make_model, save_params
 from .numerics import rel_err, rng_from_seed
-from .regularizers import REGULARIZER_KINDS, box01, make_regularizer, reals
-from .training import LOSS_KINDS, TrainConfig, evaluate_accuracy, predict_marginals, train
+from .regularizers import box01, make_regularizer, reals
+from .training import TrainConfig, evaluate_accuracy, predict_marginals, train
 
 CONFIG_ERROR, DIVERGENCE_ERROR, CHECK_FAILURE = 2, 3, 4
 
@@ -66,54 +70,40 @@ CONFIG_ERROR, DIVERGENCE_ERROR, CHECK_FAILURE = 2, 3, 4
 # this many failures in a row means the config admits no checkable instance.
 SPEN_SCREEN_MAX_DRAWS = 1000
 
-_SOLVER = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "max_iters": {"type": "integer", "minimum": 1},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "init_step": {"type": "number", "exclusiveMinimum": 0},
-        "shrink": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "sufficient_increase": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-    },
-}
+# JSON type of each parameter annotation a config key can have (``int | None``
+# is an integer key that may be left out).
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
-_REGULARIZER = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(REGULARIZER_KINDS)},
-        "gamma": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
 
-_SYNTHETIC = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["n", "d", "k"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "d": {"type": "integer", "minimum": 1},
-        "k": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "coupling": {"type": "number", "minimum": 0},
-        "unary_scale": {"type": "number", "minimum": 0},
-        "gamma": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
+def _block_schema(fn, cli_supplied: tuple = (), optional: tuple = ()) -> dict:
+    """Schema of a config block that the CLI passes to ``fn`` as keyword arguments.
 
-_DATASET = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "path": {"type": "string"},
-        "n_features": {"type": "integer", "minimum": 1},
-        "n_labels": {"type": "integer", "minimum": 1},
-        "labels_one_based": {"type": "boolean"},
-        "synthetic": _SYNTHETIC,
-    },
-}
+    The keys, their JSON types and the required keys (parameters without a
+    default) are read from ``fn``'s signature; ``fn`` itself checks the values.
+    Parameters in ``cli_supplied`` are passed by the CLI and are not keys;
+    keys in ``optional`` have no default in ``fn`` but one in the CLI.
+    """
+    hints = typing.get_type_hints(fn)
+    properties, required = {}, []
+    for name, param in inspect.signature(fn).parameters.items():
+        if name in cli_supplied:
+            continue
+        (typ,) = [t for t in typing.get_args(hints[name]) or (hints[name],) if t is not type(None)]
+        properties[name] = {"type": _JSON_TYPES[typ]}
+        if param.default is param.empty and name not in optional:
+            required.append(name)
+    return {"type": "object", "additionalProperties": False, "required": required, "properties": properties}
+
+
+_SOLVER = _block_schema(SolverConfig)
+_REGULARIZER = _block_schema(make_regularizer, cli_supplied=("k", "domain"))
+_MODEL = _block_schema(make_model, cli_supplied=("d", "k"))
+_TRAIN_BLOCK = _block_schema(TrainConfig, cli_supplied=("seed", "solver"))
+_DATASET = _block_schema(parse_libsvm_multilabel, cli_supplied=("source",))
+_DATASET["properties"].update(
+    path={"type": "string"},
+    synthetic=_block_schema(planted_pairwise, cli_supplied=("return_truth",), optional=("seed",)),
+)
 
 _SPLIT = {
     "type": "object",
@@ -123,30 +113,6 @@ _SPLIT = {
         "dev_fraction": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
         "seed": {"type": "integer"},
         "standardize": {"type": "boolean"},
-    },
-}
-
-_MODEL = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["architecture"],
-    "properties": {
-        "architecture": {"enum": list(ARCHITECTURES)},
-        "hidden": {"type": "integer", "minimum": 1},
-        "prior_hidden": {"type": "integer", "minimum": 1},
-        "concave": {"type": "boolean"},
-    },
-}
-
-_TRAIN_BLOCK = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "loss": {"enum": list(LOSS_KINDS)},
-        "epochs": {"type": "integer", "minimum": 1},
-        "batch_size": {"type": "integer", "minimum": 1},
-        "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-        "l2_weight": {"type": "number", "minimum": 0},
     },
 }
 
@@ -238,6 +204,15 @@ SCHEMAS = {
 }
 
 
+# jsonschema counts 1.0 as an integer; an integer key takes only a JSON integer
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, instance: isinstance(instance, int) and not isinstance(instance, bool)
+    ),
+)
+
+
 def _load_config(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
@@ -246,7 +221,7 @@ def _load_config(path: str, command: str) -> dict:
         raise ContractViolation(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ContractViolation(f"config is not valid JSON: {exc}") from None
-    validator = jsonschema.Draft202012Validator(SCHEMAS[command])
+    validator = _Validator(SCHEMAS[command])
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         lines = [f"config does not match the {command} schema:"]
@@ -317,11 +292,11 @@ def _fmt(x: float) -> str:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, "train")
+    tcfg = TrainConfig(**cfg.get("train", {}), seed=cfg["seed"])
+    tcfg = replace(tcfg, solver=replace(tcfg.solver, **cfg.get("solver", {})))
     train_ds, dev_ds, test_ds = _prepare_splits(cfg)
     model = make_model(d=train_ds.d, k=train_ds.k, **cfg["model"])
     reg = _regularizer_from(cfg, train_ds.k)
-    tcfg = TrainConfig(**cfg.get("train", {}), seed=cfg["seed"])
-    tcfg = replace(tcfg, solver=replace(tcfg.solver, **cfg.get("solver", {})))
     report = train(model, reg, train_ds, tcfg, dev_ds=dev_ds)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -357,6 +332,8 @@ def cmd_eval(args) -> int:
     if not params_path.exists():
         raise ContractViolation(f"params file not found: {params_path}")
     model, params, header = load_params(params_path)
+    reg = _regularizer_from(cfg, model.k)
+    solver = _solver_from(cfg)
     ds, dev_ds, test_ds = _prepare_splits(cfg)
     target = test_ds if test_ds is not None else ds
     if target.n == 0:
@@ -366,16 +343,14 @@ def cmd_eval(args) -> int:
             f"dataset is ({target.d} features, {target.k} labels), "
             f"model expects ({model.d}, {model.k})"
         )
-    reg = _regularizer_from(cfg, model.k)
-    solver = _solver_from(cfg)
-    P = predict_marginals(model, params, reg, target.X, solver)
-    acc = float(np.mean((P > 0.5).astype(float) == target.Y))
+    Y_hat = hamming_decode(predict_marginals(model, params, reg, target.X, solver))
+    acc = accuracy(Y_hat, target.Y)
     if cfg.get("output"):
         with open(cfg["output"], "w") as fh:
             fh.write(_header(cfg))
             fh.write(",".join(f"label_{j}" for j in range(model.k)) + "\n")
-            for row in P:
-                fh.write(",".join(str(int(x)) for x in hamming_decode(row)) + "\n")
+            for row in Y_hat:
+                fh.write(",".join(str(int(x)) for x in row) + "\n")
     print(f"accuracy {_fmt(acc)} on {target.n} instances")
     return 0
 
@@ -450,6 +425,7 @@ def cmd_gradcheck(args) -> int:
     n = cfg.get("instances", 50)
     tol = cfg.get("tolerance", 1e-5)
     reg_block = cfg.get("regularizer", {"kind": "gini_binary"})
+    make_regularizer(**reg_block, k=k)  # checks the block, although linear_quadratic overrides its kind
     solver = _solver_from(cfg)
     rng = rng_from_seed(cfg["seed"])
     worst = 0.0

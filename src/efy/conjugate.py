@@ -37,6 +37,10 @@ from .regularizers import GiniBinary, Regularizer, SquaredL2
 
 MAX_LINE_SEARCH_SHRINKS = 50
 OBJECTIVE_CAP = 1e14
+# Armijo backtracking in projected ascent: the factor a rejected trial step is
+# shrunk by, and the constant c of the sufficient-increase test.
+LINE_SEARCH_SHRINK = 0.5
+SUFFICIENT_INCREASE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -46,8 +50,6 @@ class SolverConfig:
     max_iters: int = 10000
     tol: float = 1e-8
     init_step: float = 1.0
-    shrink: float = 0.5
-    sufficient_increase: float = 1e-4
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -56,10 +58,6 @@ class SolverConfig:
             raise ContractViolation("tol must be positive")
         if self.init_step <= 0:
             raise ContractViolation("init_step must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ContractViolation("shrink must lie in (0, 1)")
-        if not 0.0 < self.sufficient_increase < 1.0:
-            raise ContractViolation("sufficient_increase must lie in (0, 1)")
 
 
 @dataclass
@@ -106,9 +104,9 @@ def projected_gradient_ascent(
             fc = value_fn(cand)
             move = cand - p
             # a step shrunk to zero cannot move; the search then ends stalled
-            if math.isfinite(fc) and t > 0.0 and fc >= fp + cfg.sufficient_increase / t * float(move @ move):
+            if math.isfinite(fc) and t > 0.0 and fc >= fp + SUFFICIENT_INCREASE / t * float(move @ move):
                 break
-            t *= cfg.shrink
+            t *= LINE_SEARCH_SHRINK
         else:
             return p, "stalled", it, gap
         p, fp, step = cand, fc, t

@@ -63,6 +63,9 @@ def parse_libsvm_multilabel(
     inferred from the largest indices unless declared, in which case
     out-of-bound indices are parse errors.
     """
+    for name, declared in (("n_features", n_features), ("n_labels", n_labels)):
+        if declared is not None and declared < 1:
+            raise ContractViolation(f"{name} must be >= 1, got {declared}")
     lines = source.splitlines() if isinstance(source, str) else list(source)
     rows: list[tuple[list[int], list[tuple[int, float]]]] = []
     max_feat = 0
@@ -201,6 +204,8 @@ def planted_pairwise(
     """
     if n < 1 or d < 1 or k < 1:
         raise ContractViolation("n, d, k must be >= 1")
+    if coupling < 0 or unary_scale < 0:
+        raise ContractViolation(f"coupling and unary_scale must be >= 0, got {coupling} and {unary_scale}")
     rng = rng_from_seed(seed)
     X = rng.standard_normal((n, d))
     W = rng.standard_normal((k, d)) / math.sqrt(d)

@@ -25,6 +25,8 @@ from .exceptions import ContractViolation
 from .numerics import as_vec, assert_finite, finite_diff_grad
 from .regularizers import Indicator, OutputSet, Regularizer
 
+XENT_CLIP = 1e-6
+
 
 @dataclass
 class LossEval:
@@ -67,7 +69,7 @@ def energy_loss(energy: Energy, v, y) -> LossEval:
     return LossEval(value=-energy.value(v, y), grad_v=-1.0 * energy.grad_v(v, y), conjugate=None)
 
 
-def input_grad_finite_diff(energy: Energy, v, fn: Callable, step: float | None = None):
+def input_grad_finite_diff(energy: Energy, v, fn: Callable):
     """Central-difference gradient of ``fn`` w.r.t. a structured input.
 
     ``fn`` maps an energy input to a scalar. This is the reference oracle for
@@ -75,7 +77,7 @@ def input_grad_finite_diff(energy: Energy, v, fn: Callable, step: float | None =
     whatever ``fn`` does internally (including inner argmaxes).
     """
     vec = energy.input_to_vec(v)
-    g = finite_diff_grad(lambda w: fn(energy.vec_to_input(w)), vec, step)
+    g = finite_diff_grad(lambda w: fn(energy.vec_to_input(w)), vec)
     return energy.vec_to_input(g)
 
 
@@ -85,21 +87,20 @@ def xent_loss(
     v,
     y,
     cfg: SolverConfig | None = None,
-    clip: float = 1e-6,
 ) -> LossEval:
     """Binary cross-entropy on the regularized prediction ``p*(v)``.
 
     A baseline, not a Fenchel-Young loss: its gradient needs differentiation
     through the argmax, which we replace by central finite differences over
     the flattened input. Cost scales with the input dimension; intended for
-    small problems only. Predictions are clipped to ``[clip, 1 - clip]`` so
-    exactly sparse argmaxes keep the log finite.
+    small problems only. Predictions are clipped to ``[XENT_CLIP, 1 - XENT_CLIP]``
+    so exactly sparse argmaxes keep the log finite.
     """
     y = as_vec(y)
 
     def value_of(vv) -> float:
         p = conjugate(energy, reg, vv, cfg).argmax
-        p = np.clip(p, clip, 1.0 - clip)
+        p = np.clip(p, XENT_CLIP, 1.0 - XENT_CLIP)
         return float(-np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
     grad = input_grad_finite_diff(energy, v, value_of)

@@ -19,9 +19,11 @@ a flat little-endian float64 payload.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,8 +79,8 @@ def _mlp_vjp(p: MLPParams, x: np.ndarray, g: np.ndarray) -> MLPParams:
     return MLPParams(W1=np.outer(dz, x), b1=dz, W2=np.outer(g, h), b2=g.copy())
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    s = 1.0 / np.sqrt(max(1, fan_in))
+def _uniform(rng, shape, fan_in: int) -> np.ndarray:
+    s = 1.0 / math.sqrt(max(1, fan_in))
     return rng.uniform(-s, s, size=shape)
 
 
@@ -90,11 +92,16 @@ class Model:
     def __init__(self, d: int, k: int, hidden: int | None = None):
         if d < 1 or k < 1:
             raise ContractViolation("feature and label dimensions must be >= 1")
+        if hidden is not None and hidden < 1:
+            raise ContractViolation(f"hidden must be >= 1, got {hidden}")
         self.d = d
         self.k = k
         self.hidden = hidden if hidden is not None else default_hidden(d)
 
     def init_params(self, seed: int):
+        return self._draw_params(rng_from_seed(seed))
+
+    def _draw_params(self, rng):
         raise NotImplementedError
 
     def forward(self, params, x):
@@ -121,9 +128,11 @@ class Model:
 
     @cached_property
     def _params_like(self):
-        return self.init_params(0)
+        # draws are zero-memory views of their shapes, so a params header's
+        # dimensions allocate nothing until they have been checked
+        return self._draw_params(SimpleNamespace(uniform=lambda low, high, size: np.broadcast_to(0.0, size)))
 
-    def _init_mlp(self, rng: np.random.Generator) -> MLPParams:
+    def _init_mlp(self, rng) -> MLPParams:
         d, k, m = self.d, self.k, self.hidden
         return MLPParams(
             W1=_uniform(rng, (m, d), d),
@@ -142,8 +151,8 @@ class Model:
 class UnaryModel(Model):
     architecture = "unary"
 
-    def init_params(self, seed: int) -> MLPParams:
-        return self._init_mlp(rng_from_seed(seed))
+    def _draw_params(self, rng) -> MLPParams:
+        return self._init_mlp(rng)
 
     def forward(self, params: MLPParams, x) -> np.ndarray:
         return _mlp_forward(params, self._check_x(x))
@@ -158,8 +167,7 @@ class UnaryModel(Model):
 class PairwiseModel(Model):
     architecture = "pairwise"
 
-    def init_params(self, seed: int) -> PairwiseParams:
-        rng = rng_from_seed(seed)
+    def _draw_params(self, rng) -> PairwiseParams:
         return PairwiseParams(
             unary=self._init_mlp(rng),
             WA=_uniform(rng, (self.k, self.d), self.d),
@@ -192,12 +200,11 @@ class SpenModel(Model):
     def __init__(self, d: int, k: int, hidden: int | None = None, prior_hidden: int = 4, concave: bool = True):
         super().__init__(d, k, hidden)
         if prior_hidden < 1:
-            raise ContractViolation("prior net needs at least one hidden unit")
+            raise ContractViolation(f"prior_hidden must be >= 1, got {prior_hidden}")
         self.prior_hidden = prior_hidden
         self.concave = concave
 
-    def init_params(self, seed: int) -> SpenParams:
-        rng = rng_from_seed(seed)
+    def _draw_params(self, rng) -> SpenParams:
         unary = self._init_mlp(rng)
         k, h = self.k, self.prior_hidden
         prior = PriorWeights(
@@ -239,6 +246,8 @@ def make_model(
     prior_hidden: int = 4,
     concave: bool = True,
 ) -> Model:
+    if prior_hidden < 1:  # rejected for every architecture, though only spen uses it
+        raise ContractViolation(f"prior_hidden must be >= 1, got {prior_hidden}")
     if architecture == "unary":
         return UnaryModel(d, k, hidden)
     if architecture == "pairwise":
@@ -270,7 +279,9 @@ _HEADER_TYPES = {"architecture": str, "d": int, "k": int, "hidden": int, "prior_
 def load_params(path) -> tuple[Model, object, dict]:
     """Inverse of :func:`save_params`; returns (model, params, header).
 
-    The header's tensor names and shapes must be the named model's own.
+    The header's tensor names and shapes must be the named model's own, and
+    the payload must hold exactly their floats. Both are checked before any
+    array of the model's size is allocated.
     """
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
@@ -289,11 +300,14 @@ def load_params(path) -> tuple[Model, object, dict]:
         if type(value) is not typ and (key in header or key in ("architecture", "d", "k")):
             raise ParseError(f"parameter header field {key!r} must be a {typ.__name__}, got {value!r}")
     model = make_model(**{key: header[key] for key in _HEADER_TYPES if key in header})
-    expected = _tensor_list(model._params_like)
+    try:
+        expected = _tensor_list(model._params_like)
+    except (ValueError, OverflowError) as exc:  # dimensions no array can have
+        raise ParseError(f"parameter header dimensions are out of range: {exc}") from exc
     if header.get("tensors") != expected:
         raise ParseError(f"parameter header tensors do not match the {model.architecture} model's {expected}")
-    vec = np.frombuffer(raw[nl + 1 :], dtype="<f8")
-    size = flatten(model._params_like).size
-    if vec.size != size:
-        raise ParseError(f"parameter payload holds {vec.size} floats, header declares {size}")
-    return model, model.vec_to_params(vec), header
+    size = sum(math.prod(tensor["shape"]) for tensor in expected)
+    payload = raw[nl + 1 :]
+    if len(payload) != 8 * size:
+        raise ParseError(f"parameter payload holds {len(payload)} bytes, header declares {size} floats")
+    return model, model.vec_to_params(np.frombuffer(payload, dtype="<f8")), header

@@ -42,13 +42,13 @@ def as_mat(x, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_sym_mat(x, name: str = "matrix", tol: float = SYMMETRY_TOL) -> np.ndarray:
+def as_sym_mat(x, name: str = "matrix") -> np.ndarray:
     m = as_mat(x, name)
     if m.shape[0] != m.shape[1]:
         raise ContractViolation(f"{name} must be square, got shape {m.shape}")
     skew = np.abs(m - m.T).max() if m.size else 0.0
     # exactly symmetric input, the common case, skips the scale reduction
-    if skew > 0.0 and skew > tol * max(1.0, float(np.abs(m).max())):
+    if skew > 0.0 and skew > SYMMETRY_TOL * max(1.0, float(np.abs(m).max())):
         raise ContractViolation(f"{name} is not symmetric (max |M - M^T| = {skew:.3e})")
     return m
 
@@ -60,17 +60,17 @@ def assert_finite(x, what: str = "result"):
     return x
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], float], v, step: float | None = None) -> np.ndarray:
+def finite_diff_grad(f: Callable[[np.ndarray], float], v) -> np.ndarray:
     """Central-difference gradient of a scalar field ``f`` at ``v``.
 
-    The default step is ``FD_STEP * (1 + |v_i|)`` per coordinate, which keeps
+    The step is ``FD_STEP * (1 + |v_i|)`` per coordinate, which keeps
     the estimate exact (to roundoff) on polynomials of degree <= 2.
     Raises :class:`EvaluationError` if ``f`` returns a non-finite value.
     """
     v = as_vec(v, "evaluation point")
     grad = np.empty_like(v)
     for i in range(v.size):
-        h = step if step is not None else FD_STEP * (1.0 + abs(v[i]))
+        h = FD_STEP * (1.0 + abs(v[i]))
         vp = v.copy()
         vm = v.copy()
         vp[i] += h
@@ -91,8 +91,8 @@ def rel_err(approx, reference) -> float:
     return float(np.max(np.abs(a - b))) / denom if a.size else 0.0
 
 
-def is_negative_semidefinite(m, tol: float = NSD_EIG_TOL) -> bool:
-    """True when the largest eigenvalue of symmetric ``m`` is <= ``tol * max(1, max|m|)``.
+def is_negative_semidefinite(m) -> bool:
+    """True when the largest eigenvalue of symmetric ``m`` is <= ``NSD_EIG_TOL * max(1, max|m|)``.
 
     The tolerance is relative because the rounding error of the eigenvalues
     grows with the scale of the matrix.
@@ -101,7 +101,7 @@ def is_negative_semidefinite(m, tol: float = NSD_EIG_TOL) -> bool:
     if m.size == 0:
         return True
     scale = max(1.0, float(np.abs(m).max()))
-    return bool(np.linalg.eigvalsh(m)[-1] <= tol * scale)
+    return bool(np.linalg.eigvalsh(m)[-1] <= NSD_EIG_TOL * scale)
 
 
 def solve_spd(m, b) -> np.ndarray:

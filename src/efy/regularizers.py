@@ -354,6 +354,8 @@ REGULARIZER_KINDS = ("squared_l2", "shannon_binary", "gini_binary", "shannon_sim
 
 def make_regularizer(kind: str, k: int, gamma: float = 1.0, domain: OutputSet | None = None) -> Regularizer:
     """Factory used by the CLI config layer."""
+    if gamma <= 0:
+        raise ContractViolation(f"regularizer gamma must be positive, got {gamma}")
     if kind == "squared_l2":
         return SquaredL2(gamma, domain if domain is not None else reals(k))
     if kind == "shannon_binary":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calibration import hamming_decode
+from .calibration import accuracy, hamming_decode
 from .conjugate import SolverConfig, conjugate
 from .data import MultilabelDataset, split
 from .exceptions import ContractViolation, DivergenceError, EvaluationError, TrainingDivergence
@@ -31,6 +31,8 @@ LOSS_KINDS = ("gfy", "perceptron", "energy", "xent")
 # 5 ridge strengths and 10 learning rates, both log-spaced.
 DEFAULT_L2_GRID = tuple(np.logspace(-4, 1, 5))
 DEFAULT_LR_GRID = tuple(np.logspace(-5, -1, 10))
+# hyperparam_search scores each grid cell on this share of the data
+HOLDOUT_FRACTION = 0.25
 
 # ADAM moment decays and denominator offset.
 ADAM_BETA1 = 0.9
@@ -150,9 +152,7 @@ def predict_marginals(model: Model, params, reg: Regularizer, X: np.ndarray, sol
 def evaluate_accuracy(model: Model, params, reg: Regularizer, ds: MultilabelDataset, solver: SolverConfig | None = None) -> float:
     if ds.n == 0:
         raise ContractViolation("cannot score an empty dataset")
-    P = predict_marginals(model, params, reg, ds.X, solver)
-    correct = sum(float(np.mean(hamming_decode(P[i]) == ds.Y[i])) for i in range(ds.n))
-    return correct / ds.n
+    return accuracy(hamming_decode(predict_marginals(model, params, reg, ds.X, solver)), ds.Y)
 
 
 def train(
@@ -222,7 +222,6 @@ def hyperparam_search(
     l2_grid=DEFAULT_L2_GRID,
     lr_grid=DEFAULT_LR_GRID,
     seeds=(0, 1, 2),
-    holdout: float = 0.25,
 ) -> SearchResult:
     """Grid search on a held-out quarter of the data, then refit on all of it.
 
@@ -230,7 +229,7 @@ def hyperparam_search(
     prefer the smaller ridge weight, then the smaller learning rate. The
     holdout split is fixed by the base seed, so the search is deterministic.
     """
-    fit_ds, dev_ds = split(ds, (1.0 - holdout, holdout), seed=base_cfg.seed)
+    fit_ds, dev_ds = split(ds, (1.0 - HOLDOUT_FRACTION, HOLDOUT_FRACTION), seed=base_cfg.seed)
     table = []
     best_key = None
     best_cell = None

@@ -1,6 +1,6 @@
 import json
+import re
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -351,18 +351,104 @@ class TestCalibcheck:
         assert all(r[3] == "1" for r in rows)
 
 
+# One out-of-range value for each range or enum rule that the config schema
+# held on a block before the block schemas were derived from the signatures;
+# the function a block feeds must reject it and name the setting.
+BLOCK_VIOLATIONS = [
+    ("solver", {"max_iters": 0}, "max_iters"),
+    ("solver", {"tol": 0}, "tol"),
+    ("solver", {"init_step": 0.0}, "init_step"),
+    ("solver", {"shrink": 1.5}, "shrink"),  # a constant now: an unknown key
+    ("solver", {"sufficient_increase": 0}, "sufficient_increase"),
+    ("regularizer", {"kind": "bogus"}, "kind"),
+    *[("regularizer", {"kind": kind, "gamma": 0}, "gamma") for kind in REGULARIZER_KINDS],
+    ("synthetic", {"n": 0}, "n"),
+    ("synthetic", {"d": 0}, "d"),
+    ("synthetic", {"k": 0}, "k"),
+    ("synthetic", {"coupling": -1.0}, "coupling"),
+    ("synthetic", {"unary_scale": -1.0}, "unary_scale"),
+    ("synthetic", {"gamma": 0}, "gamma"),
+    ("libsvm", {"n_features": 0}, "n_features"),
+    ("libsvm", {"n_labels": 0}, "n_labels"),
+    ("model", {"architecture": "bogus"}, "architecture"),
+    ("model", {"hidden": 0}, "hidden"),
+    ("model", {"prior_hidden": 0}, "prior_hidden"),  # ignored by a unary model, rejected all the same
+    ("model", {"architecture": "spen", "prior_hidden": 0}, "prior_hidden"),
+    ("train", {"loss": "bogus"}, "loss"),
+    ("train", {"epochs": 0}, "epochs"),
+    ("train", {"batch_size": 0}, "batch_size"),
+    ("train", {"learning_rate": 0}, "learning_rate"),
+    ("train", {"l2_weight": -1.0}, "l2_weight"),
+]
+
+
+@pytest.mark.parametrize("block, values, name", BLOCK_VIOLATIONS)
+def test_out_of_range_block_values_exit_two(tmp_path, capsys, block, values, name):
+    spec = synthetic_train_config(tmp_path, epochs=1)
+    spec["dataset"]["synthetic"]["n"] = 8
+    spec["solver"] = {}
+    if block == "synthetic":
+        spec["dataset"]["synthetic"].update(values)
+    elif block == "libsvm":
+        (tmp_path / "data.txt").write_text(LIBSVM_TEXT)
+        spec["dataset"] = {"path": str(tmp_path / "data.txt"), **values}
+    else:
+        spec[block].update(values)
+    cfg = write_config(tmp_path, "train.json", spec)
+    assert main(["train", "--config", cfg]) == 2
+    assert re.search(rf"\b{name}\b", capsys.readouterr().err)
+
+
+# an integral float in an integer key, one per subcommand; jsonschema's own
+# integer type admits 1.0, which then failed inside the library
+INTEGRAL_FLOATS = [
+    ("train", {"train": {"epochs": 1.0}}, "epochs"),
+    ("eval", {"params": "p.bin", "dataset": {"synthetic": {"n": 12.0, "d": 3, "k": 2}}}, "n"),
+    ("gradcheck", {"family": "bilinear", "instances": 2.0}, "instances"),
+    ("conjbench", {"energy": {"kind": "pairwise", "u": [0.4, -0.2], "U": [[-0.5, 0.0], [0.0, -0.5]]},
+                   "solver": {"max_iters": 5.0}}, "max_iters"),
+    ("calibcheck", {"k": 2.0, "coupling": "bilinear"}, "k"),
+]
+
+
+@pytest.mark.parametrize("command, spec, name", INTEGRAL_FLOATS)
+def test_integral_floats_in_integer_keys_exit_two(tmp_path, monkeypatch, capsys, command, spec, name):
+    monkeypatch.chdir(tmp_path)
+    model = make_model("unary", d=3, k=2, hidden=2)
+    save_params(tmp_path / "p.bin", model, model.init_params(0))
+    if command == "train":
+        spec = {**synthetic_train_config(tmp_path), **spec}
+    cfg = write_config(tmp_path, "c.json", spec)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "is not of type 'integer'" in err and re.search(rf"\b{name}\b", err)
+
+
+def mostly(valid, out_of_range):
+    """``valid`` nineteen draws in twenty, else ``out_of_range``: a config holds
+    up to 18 such keys, and the solves run only when all of them are valid.
+    (The rare branch is the last index, as Hypothesis favours index 0.)"""
+    return st.integers(0, 19).flatmap(lambda i: valid if i < 19 else out_of_range)
+
+
 # Schema-valid train configs. Sizes are capped for run time only (an omitted
 # epochs or max_iters would mean 200 epochs or 10000 iterations); every other
-# value ranges over what the schema admits.
-POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
-NONNEGATIVE = st.floats(min_value=0.0, max_value=1e300)
+# value ranges over what the schema admits, and sizes, counts and scales also
+# take the zero and negative values the library must reject.
+POSITIVE = mostly(st.floats(min_value=0.0, max_value=1e300, exclude_min=True), st.floats(min_value=-1e300, max_value=0.0))
+NONNEGATIVE = mostly(st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=-1e300, max_value=-1e-300))
 FRACTION = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
-OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
-DIM = st.integers(1, 4)
+
+
+def count(lo, hi=None):
+    return mostly(st.integers(lo, hi), st.integers(max_value=0))
+
+
+DIM = count(1, 4)
 LIBSVM_TEXT = "1,2 1:0.5 3:-1.0\n2 2:1.5\n1:0.25 4:2.0\n3,4 1:-0.5 2:0.75\n"
 
 SYNTHETIC = st.fixed_dictionaries(
-    {"n": st.integers(1, 30), "d": DIM, "k": DIM},
+    {"n": count(1, 30), "d": DIM, "k": DIM},
     optional={"seed": st.integers(), "coupling": NONNEGATIVE, "unary_scale": NONNEGATIVE, "gamma": POSITIVE},
 )
 LIBSVM_FILE = {"n_features": DIM, "n_labels": DIM, "labels_one_based": st.booleans()}
@@ -376,23 +462,23 @@ TRAIN_CONFIGS = st.fixed_dictionaries(
         ),
         "model": st.fixed_dictionaries(
             {"architecture": st.sampled_from(ARCHITECTURES)},
-            optional={"hidden": st.integers(1, 3), "prior_hidden": st.integers(1, 3), "concave": st.booleans()},
+            optional={"hidden": count(1, 3), "prior_hidden": count(1, 3), "concave": st.booleans()},
         ),
         "regularizer": st.fixed_dictionaries(
             {"kind": st.sampled_from(REGULARIZER_KINDS)}, optional={"gamma": POSITIVE}
         ),
         "train": st.fixed_dictionaries(
-            {"epochs": st.integers(1, 2)},
+            {"epochs": count(1, 2)},
             optional={
                 "loss": st.sampled_from(LOSS_KINDS),
-                "batch_size": st.integers(min_value=1),
+                "batch_size": count(1),
                 "learning_rate": POSITIVE,
                 "l2_weight": NONNEGATIVE,
             },
         ),
         "solver": st.fixed_dictionaries(
-            {"max_iters": st.integers(1, 50)},
-            optional={"tol": POSITIVE, "init_step": POSITIVE, "shrink": OPEN_UNIT, "sufficient_increase": OPEN_UNIT},
+            {"max_iters": count(1, 50)},
+            optional={"tol": POSITIVE, "init_step": POSITIVE},
         ),
     },
     optional={
@@ -410,7 +496,7 @@ TRAIN_CONFIGS = st.fixed_dictionaries(
 )
 
 
-TRAIN_SCHEMA = jsonschema.Draft202012Validator(cli.SCHEMAS["train"])
+TRAIN_SCHEMA = cli._Validator(cli.SCHEMAS["train"])
 
 
 def _train_spec(**blocks):
@@ -463,4 +549,64 @@ def test_schema_valid_train_configs_exit_with_a_documented_code(tmp_path, monkey
     cfg = write_config(tmp_path, "train.json", spec)
     with np.errstate(all="ignore"):
         assert main(["train", "--config", cfg]) in (0, 2, 3, 4)
+    capsys.readouterr()
+
+
+# Params files with random header fields and payload lengths. Field values
+# range over every JSON type, including dimensions far too large to allocate.
+HEADER_KEYS = ("format", "architecture", "d", "k", "hidden", "prior_hidden", "concave", "seed", "tensors")
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(("efy-params-v1", *ARCHITECTURES)),
+    st.lists(
+        st.fixed_dictionaries(
+            {"name": st.sampled_from(("W1", "b1", "W2", "b2", "unary.W1")), "shape": st.lists(st.integers(-1, 4), max_size=2)}
+        ),
+        max_size=4,
+    ),
+)
+HEADER_EDITS = st.one_of(
+    st.fixed_dictionaries(
+        {"set": st.dictionaries(st.sampled_from(HEADER_KEYS), JSON_VALUES, max_size=3), "drop": st.sets(st.sampled_from(HEADER_KEYS), max_size=2)}
+    ),
+    JSON_VALUES,  # the whole header replaced
+)
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(architecture=st.sampled_from(ARCHITECTURES), edit=HEADER_EDITS, payload_bytes=st.none() | st.integers(0, 400))
+# a payload that is not a whole number of floats: np.frombuffer raised ValueError
+@example(architecture="unary", edit={"set": {}, "drop": set()}, payload_bytes=13)
+# a header dimension too large for a float: the weight scale raised TypeError
+@example(architecture="unary", edit={"set": {"d": 2**70}, "drop": set()}, payload_bytes=None)
+def test_params_files_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, architecture, edit, payload_bytes):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EFY_SEED", raising=False)
+    model = make_model(architecture, d=3, k=2, hidden=2, prior_hidden=2)
+    path = tmp_path / "p.bin"
+    save_params(path, model, model.init_params(0))
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    if isinstance(edit, dict) and set(edit) == {"set", "drop"}:
+        header.update(edit["set"])
+        for key in edit["drop"]:
+            header.pop(key, None)
+    else:
+        header = edit
+    if payload_bytes is not None:
+        payload = (payload * 2)[:payload_bytes]
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+    cfg = write_config(tmp_path, "eval.json", {"params": "p.bin", "dataset": {"synthetic": {"n": 4, "d": 3, "k": 2}}})
+    with np.errstate(all="ignore"):
+        assert main(["eval", "--config", cfg]) in (0, 2, 3, 4)
     capsys.readouterr()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,8 @@ class TestInit:
             make_model("mystery", d=3, k=2)
         with pytest.raises(ContractViolation):
             make_model("spen", d=3, k=2, prior_hidden=0)
+        with pytest.raises(ContractViolation, match="hidden"):
+            make_model("unary", d=3, k=2, hidden=0)
 
 
 class TestVjp:
@@ -314,4 +317,40 @@ class TestSerialization:
         # W1 is (2, 3); (3, 2) keeps the float count but not the layout
         rewrite_params_header(path, lambda h: h["tensors"][0].update(shape=[3, 2]))
         with pytest.raises(ParseError, match="tensors"):
+            load_params(path)
+
+    def test_header_dimensions_allocate_nothing_before_they_are_checked(self, tmp_path):
+        # 122 bytes declaring a 100 x 20000 first layer; the template of that
+        # model alone is 16 MB, and the check must not build it
+        header = {"architecture": "unary", "d": 20000, "format": "efy-params-v1", "hidden": 100,
+                  "k": 5, "seed": 0, "tensors": []}
+        path = tmp_path / "p.bin"
+        path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + bytes(8))
+        assert path.stat().st_size == 122
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError):
+                load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_payload_of_a_partial_float(self, tmp_path):
+        model = make_model("unary", d=3, k=2, hidden=2)
+        path = tmp_path / "p.bin"
+        save_params(path, model, model.init_params(0))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ParseError, match="payload"):
+            load_params(path)
+
+    def test_dimensions_no_array_can_have(self, tmp_path):
+        model = make_model("unary", d=3, k=2, hidden=2)
+        path = tmp_path / "p.bin"
+        save_params(path, model, model.init_params(0))
+        rewrite_params_header(path, lambda h: h.update(d=2**70))
+        with pytest.raises(ParseError, match="out of range"):
+            load_params(path)
+        rewrite_params_header(path, lambda h: h.update(d=10**400))
+        with pytest.raises(ParseError, match="out of range"):
             load_params(path)
