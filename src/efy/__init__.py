@@ -59,6 +59,7 @@ from .exceptions import (
     ContractViolation,
     DivergenceError,
     DomainBoundaryError,
+    EfyError,
     EvaluationError,
     InfeasibleError,
     ParseError,

@@ -30,7 +30,7 @@ from scipy.optimize import minimize
 
 from .conjugate import SolverConfig, conjugate
 from .energies import BilinearEnergy, Energy, PairwiseEnergy, PairwiseInput
-from .exceptions import ContractViolation
+from .exceptions import ContractViolation, EvaluationError
 from .losses import gfy_loss
 from .numerics import as_vec, rng_from_seed
 from .regularizers import Regularizer
@@ -161,7 +161,10 @@ def _bayes_surrogate_risk_pairwise(
         risk = res.value + e_omega - (float(u @ mu) + 0.5 * float(np.sum(v.U * S)))
         G = 0.5 * (np.outer(p, p) - S)
         gA = -(G + G.T) @ A
-        return risk, np.concatenate([p - mu, gA.ravel()])
+        grad = np.concatenate([p - mu, gA.ravel()])
+        if not (math.isfinite(risk) and np.all(np.isfinite(grad))):
+            raise EvaluationError("pairwise Bayes surrogate risk or its gradient is not finite")
+        return risk, grad
 
     rng = rng_from_seed(seed)
     best = math.inf
@@ -226,6 +229,8 @@ def calibration_check(
     seed: int = 0,
 ) -> CalibrationReport:
     """Verify ``xi(target excess) <= surrogate excess + slack`` sample by sample."""
+    if slack < 0:
+        raise ContractViolation(f"slack must be >= 0, got {slack}")
     labels = enumerate_labels(energy.k)
     q = _check_distribution(q, len(labels))
     dec = dec or hamming_decomposition(energy.k)
@@ -241,6 +246,11 @@ def calibration_check(
         M = estimate_smoothness(energy, reg, v_samples, cfg)
     else:
         raise ContractViolation("calibration checks support bilinear and pairwise couplings")
+    if not (M > 0 and math.isfinite(M)):
+        raise EvaluationError(
+            f"surrogate smoothness M = {M} must be positive and finite "
+            "(the sampled estimate is 0 when no sampled input moves the argmax)"
+        )
 
     target_bayes = min(target_pointwise_risk(dec, y, q) for y in labels)
     rows = []

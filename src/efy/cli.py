@@ -1,21 +1,24 @@
 """Command-line interface.
 
 Subcommands: ``train``, ``eval``, ``gradcheck``, ``conjbench``, ``calibcheck``.
-Each reads a JSON config validated against a strict schema (unknown keys are
-rejected). A block's keys are the keyword arguments of the library function
-it feeds (``dataset.synthetic`` -> ``planted_pairwise``, ``dataset`` with a
-``path`` -> ``parse_libsvm_multilabel``, ``model`` -> ``make_model``,
-``regularizer`` -> ``make_regularizer``, ``train`` -> ``TrainConfig``,
-``solver`` -> ``SolverConfig``). The block's schema is read from that
-function's signature (keys, JSON types, required keys; an integer key takes
-only a JSON integer, not ``1.0``), the function checks the values, and an
-omitted key takes its default. For ``train`` the ``solver`` block overrides
-fields of ``TrainConfig``'s own default solver. The ``EFY_SEED`` environment
-variable overrides the config seed. Output files start with a provenance
-header line carrying the config hash and the effective seed.
+Each is one function in ``COMMANDS`` whose keyword parameters are the keys of
+its JSON config; the CLI supplies one more itself, the config hash. Every key,
+at the top level or in a block, is a keyword parameter of one function: its
+JSON type is the annotation (an integer key takes only a JSON integer, not
+``1.0``), it is required when the parameter has no default, an omitted key
+takes the parameter's default, unknown keys are rejected, and the function
+checks the value. A ``dict`` key is a block whose keys feed the function of
+its name: ``dataset.synthetic`` -> ``planted_pairwise``, ``dataset`` with a
+``path`` -> ``parse_libsvm_multilabel``, ``split`` -> ``_split``, ``model``
+-> ``make_model``, ``regularizer`` -> ``make_regularizer``, ``train`` ->
+``TrainConfig``, ``solver`` -> ``SolverConfig``, ``energy`` ->
+``_energy_instance``. For ``train`` the ``solver`` block overrides fields of
+``TrainConfig``'s own default solver. The ``EFY_SEED`` environment variable
+overrides the config seed. Output files start with a provenance header line
+carrying the config hash and the effective seed.
 
-Exit codes: 0 success, 2 config/usage error, 3 numerical divergence,
-4 check failure.
+Exit codes: 0 success, 4 check failure, and the ``exit_code`` of a library
+error: 2 config/usage error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -32,9 +35,10 @@ from pathlib import Path
 import numpy as np
 import jsonschema
 
+from . import data, training
 from .calibration import accuracy, calibration_check, hamming_decode
 from .conjugate import SolverConfig, conjugate
-from .data import MultilabelDataset, parse_libsvm_multilabel, planted_pairwise, split, standardize
+from .data import MultilabelDataset, parse_libsvm_multilabel, planted_pairwise
 from .energies import (
     ENERGY_KINDS,
     BilinearEnergy,
@@ -47,39 +51,33 @@ from .energies import (
     RectifierEnergy,
     SpenEnergy,
 )
-from .exceptions import (
-    ContractViolation,
-    DivergenceError,
-    DomainBoundaryError,
-    EvaluationError,
-    InfeasibleError,
-    ParseError,
-    SingularMatrixError,
-    TrainingDivergence,
-    UnsupportedOperation,
-)
+from .exceptions import ContractViolation, EfyError, EvaluationError
 from .losses import gfy_loss, input_grad_finite_diff
 from .models import load_params, make_model, save_params
 from .numerics import rel_err, rng_from_seed
 from .regularizers import box01, make_regularizer, reals
-from .training import TrainConfig, evaluate_accuracy, predict_marginals, train
+from .training import TrainConfig, evaluate_accuracy, predict_marginals
 
-CONFIG_ERROR, DIVERGENCE_ERROR, CHECK_FAILURE = 2, 3, 4
+CONFIG_ERROR, CHECK_FAILURE = 2, 4
 
 # Raw spen gradcheck draws clear the kink screen about four times in five, so
 # this many failures in a row means the config admits no checkable instance.
 SPEN_SCREEN_MAX_DRAWS = 1000
 
+# calibcheck enumerates all 2^k labels for every sampled input.
+CALIBCHECK_MAX_K = 4
+
 # JSON type of each parameter annotation a config key can have (``int | None``
-# is an integer key that may be left out).
-_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+# is an integer key that may be left out); a ``dict`` key is a block.
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", list: "array"}
 
 
 def _block_schema(fn, cli_supplied: tuple = (), optional: tuple = ()) -> dict:
-    """Schema of a config block that the CLI passes to ``fn`` as keyword arguments.
+    """Schema of a config object whose keys the CLI passes to ``fn`` as keyword arguments.
 
     The keys, their JSON types and the required keys (parameters without a
     default) are read from ``fn``'s signature; ``fn`` itself checks the values.
+    A ``dict`` parameter takes the schema of the block of its name.
     Parameters in ``cli_supplied`` are passed by the CLI and are not keys;
     keys in ``optional`` have no default in ``fn`` but one in the CLI.
     """
@@ -89,118 +87,81 @@ def _block_schema(fn, cli_supplied: tuple = (), optional: tuple = ()) -> dict:
         if name in cli_supplied:
             continue
         (typ,) = [t for t in typing.get_args(hints[name]) or (hints[name],) if t is not type(None)]
-        properties[name] = {"type": _JSON_TYPES[typ]}
+        properties[name] = _BLOCKS[name] if typ is dict else {"type": _JSON_TYPES[typ]}
         if param.default is param.empty and name not in optional:
             required.append(name)
     return {"type": "object", "additionalProperties": False, "required": required, "properties": properties}
 
 
-_SOLVER = _block_schema(SolverConfig)
-_REGULARIZER = _block_schema(make_regularizer, cli_supplied=("k", "domain"))
-_MODEL = _block_schema(make_model, cli_supplied=("d", "k"))
-_TRAIN_BLOCK = _block_schema(TrainConfig, cli_supplied=("seed", "solver"))
+def _split(
+    ds: MultilabelDataset, seed: int, test_fraction: float = 0.0, dev_fraction: float = 0.0, standardize: bool = False
+) -> tuple[MultilabelDataset, MultilabelDataset | None, MultilabelDataset | None]:
+    """Train, dev and test parts of ``ds``; a part with fraction 0 is ``None``."""
+    for name, fraction in (("test_fraction", test_fraction), ("dev_fraction", dev_fraction)):
+        if not 0.0 <= fraction < 1.0:
+            raise ContractViolation(f"{name} must be in [0, 1), got {fraction}")
+    fractions = {"train": 1.0 - test_fraction - dev_fraction, "dev": dev_fraction, "test": test_fraction}
+    if fractions["train"] <= 0:
+        raise ContractViolation("split fractions leave no training data")
+    names = [name for name, f in fractions.items() if f > 0]
+    parts = data.split(ds, [fractions[name] for name in names], seed=seed)
+    if standardize:
+        parts = data.standardize(*parts)[:-1]
+    named = dict(zip(names, parts))
+    return named["train"], named.get("dev"), named.get("test")
+
+
+def _array(name: str, value: list) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # a non-numeric entry or a ragged array
+        raise ContractViolation(f"energy.{name} is not a numeric array: {exc}") from None
+
+
+# The (matrix, vector) keys of each conjbench energy kind: the matrix has one
+# row per vector entry and, but for bilinear, as many columns.
+_CONJBENCH_KEYS = {"bilinear": ("U", "v"), "linear_quadratic": ("A", "b"), "pairwise": ("U", "u")}
+
+
+def _energy_instance(
+    kind: str,
+    U: list | None = None,
+    A: list | None = None,
+    b: list | None = None,
+    u: list | None = None,
+    v: list | None = None,
+):
+    """The energy and the input of one conjbench instance."""
+    if kind not in _CONJBENCH_KEYS:
+        raise ContractViolation(f"unknown conjbench energy kind {kind!r}; choose from {tuple(_CONJBENCH_KEYS)}")
+    names, given = _CONJBENCH_KEYS[kind], {"U": U, "A": A, "b": b, "u": u, "v": v}
+    if any(given[name] is None for name in names):
+        raise ContractViolation(f"{kind} instances need {names[0]!r} and {names[1]!r}")
+    m, x = (_array(name, given[name]) for name in names)
+    if x.ndim != 1 or m.ndim != 2 or m.shape[0] != x.size or (kind != "bilinear" and m.shape[1] != x.size):
+        raise ContractViolation(
+            f"energy.{names[0]} of shape {m.shape} does not fit energy.{names[1]} of shape {x.shape}"
+        )
+    if kind == "bilinear":
+        return BilinearEnergy(m), x
+    if kind == "linear_quadratic":
+        return LinearQuadraticEnergy(x.size), LinQuadInput(A=m, b=x)
+    return PairwiseEnergy(x.size), PairwiseInput(u=x, U=m)
+
+
 _DATASET = _block_schema(parse_libsvm_multilabel, cli_supplied=("source",))
 _DATASET["properties"].update(
     path={"type": "string"},
     synthetic=_block_schema(planted_pairwise, cli_supplied=("return_truth",), optional=("seed",)),
 )
-
-_SPLIT = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "test_fraction": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        "dev_fraction": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        "seed": {"type": "integer"},
-        "standardize": {"type": "boolean"},
-    },
-}
-
-SCHEMAS = {
-    "train": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["dataset", "model", "regularizer", "output_dir"],
-        "properties": {
-            "seed": {"type": "integer"},
-            "output_dir": {"type": "string"},
-            "dataset": _DATASET,
-            "split": _SPLIT,
-            "model": _MODEL,
-            "regularizer": _REGULARIZER,
-            "train": _TRAIN_BLOCK,
-            "solver": _SOLVER,
-        },
-    },
-    "eval": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["params", "dataset"],
-        "properties": {
-            "seed": {"type": "integer"},
-            "params": {"type": "string"},
-            "dataset": _DATASET,
-            "split": _SPLIT,
-            "regularizer": _REGULARIZER,
-            "solver": _SOLVER,
-            "output": {"type": "string"},
-        },
-    },
-    "gradcheck": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["family"],
-        "properties": {
-            "seed": {"type": "integer"},
-            "family": {"enum": list(ENERGY_KINDS)},
-            "instances": {"type": "integer", "minimum": 1},
-            "k": {"type": "integer", "minimum": 1},
-            "d": {"type": "integer", "minimum": 1},
-            "tolerance": {"type": "number", "exclusiveMinimum": 0},
-            "regularizer": _REGULARIZER,
-            "solver": _SOLVER,
-        },
-    },
-    "conjbench": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["energy"],
-        "properties": {
-            "seed": {"type": "integer"},
-            "energy": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["kind"],
-                "properties": {
-                    "kind": {"enum": ["bilinear", "linear_quadratic", "pairwise"]},
-                    "U": {"type": "array"},
-                    "A": {"type": "array"},
-                    "b": {"type": "array"},
-                    "u": {"type": "array"},
-                    "v": {"type": "array"},
-                },
-            },
-            "regularizer": _REGULARIZER,
-            "solver": _SOLVER,
-            "output": {"type": "string"},
-        },
-    },
-    "calibcheck": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["k", "coupling"],
-        "properties": {
-            "seed": {"type": "integer"},
-            "k": {"type": "integer", "minimum": 1, "maximum": 4},
-            "coupling": {"enum": ["bilinear", "pairwise"]},
-            "regularizer": _REGULARIZER,
-            "n_v": {"type": "integer", "minimum": 1},
-            "v_scale": {"type": "number", "exclusiveMinimum": 0},
-            "slack": {"type": "number", "minimum": 0},
-            "solver": _SOLVER,
-            "output": {"type": "string"},
-        },
-    },
+_BLOCKS = {
+    "dataset": _DATASET,
+    "split": _block_schema(_split, cli_supplied=("ds",), optional=("seed",)),
+    "model": _block_schema(make_model, cli_supplied=("d", "k")),
+    "regularizer": _block_schema(make_regularizer, cli_supplied=("k", "domain")),
+    "train": _block_schema(TrainConfig, cli_supplied=("seed", "solver")),
+    "solver": _block_schema(SolverConfig),
+    "energy": _block_schema(_energy_instance),
 }
 
 
@@ -235,7 +196,8 @@ def _load_config(path: str, command: str) -> dict:
             cfg["seed"] = int(env_seed)
         except ValueError:
             raise ContractViolation(f"EFY_SEED must be an integer, got {env_seed!r}") from None
-    cfg.setdefault("seed", 0)
+    # the config hash covers the effective seed
+    cfg.setdefault("seed", inspect.signature(COMMANDS[command]).parameters["seed"].default)
     return cfg
 
 
@@ -243,17 +205,8 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
-def _header(cfg: dict) -> str:
-    return f"# config={_config_hash(cfg)} seed={cfg['seed']}\n"
-
-
-def _solver_from(cfg: dict, **defaults) -> SolverConfig:
-    """``SolverConfig`` from the config's solver block over per-command ``defaults``."""
-    return SolverConfig(**{**defaults, **cfg.get("solver", {})})
-
-
-def _regularizer_from(cfg: dict, k: int, default_kind: str = "gini_binary"):
-    return make_regularizer(k=k, **cfg.get("regularizer", {"kind": default_kind}))
+def _header(config_hash: str, seed: int) -> str:
+    return f"# config={config_hash} seed={seed}\n"
 
 
 def _load_dataset(block: dict, seed: int) -> MultilabelDataset:
@@ -268,73 +221,82 @@ def _load_dataset(block: dict, seed: int) -> MultilabelDataset:
     return parse_libsvm_multilabel(path.read_text(), **rest)
 
 
-def _prepare_splits(cfg: dict) -> tuple[MultilabelDataset, MultilabelDataset | None, MultilabelDataset | None]:
-    ds = _load_dataset(cfg["dataset"], cfg["seed"])
-    block = cfg.get("split")
-    if not block:
+def _prepare_splits(dataset: dict, split: dict, seed: int):
+    ds = _load_dataset(dataset, seed)
+    if not split:
         return ds, None, None
-    test_f = block.get("test_fraction", 0.0)
-    dev_f = block.get("dev_fraction", 0.0)
-    fractions = {"train": 1.0 - test_f - dev_f, "dev": dev_f, "test": test_f}
-    if fractions["train"] <= 0:
-        raise ContractViolation("split fractions leave no training data")
-    names = [name for name, f in fractions.items() if f > 0]
-    parts = split(ds, [fractions[name] for name in names], seed=block.get("seed", cfg["seed"]))
-    if block.get("standardize", False):
-        parts = standardize(*parts)[:-1]
-    named = dict(zip(names, parts))
-    return named["train"], named.get("dev"), named.get("test")
+    return _split(ds, **{"seed": seed, **split})
 
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args.config, "train")
-    tcfg = TrainConfig(**cfg.get("train", {}), seed=cfg["seed"])
-    tcfg = replace(tcfg, solver=replace(tcfg.solver, **cfg.get("solver", {})))
-    train_ds, dev_ds, test_ds = _prepare_splits(cfg)
-    model = make_model(d=train_ds.d, k=train_ds.k, **cfg["model"])
-    reg = _regularizer_from(cfg, train_ds.k)
-    report = train(model, reg, train_ds, tcfg, dev_ds=dev_ds)
-    out = Path(cfg["output_dir"])
+# Block defaults are dicts that the commands only read.
+def cmd_train(
+    *,
+    config_hash: str,
+    output_dir: str,
+    dataset: dict,
+    model: dict,
+    regularizer: dict,
+    seed: int = 0,
+    split: dict = {},
+    train: dict = {},
+    solver: dict = {},
+) -> int:
+    tcfg = TrainConfig(**train, seed=seed)
+    tcfg = replace(tcfg, solver=replace(tcfg.solver, **solver))
+    train_ds, dev_ds, test_ds = _prepare_splits(dataset, split, seed)
+    net = make_model(d=train_ds.d, k=train_ds.k, **model)
+    reg = make_regularizer(k=train_ds.k, **regularizer)
+    report = training.train(net, reg, train_ds, tcfg, dev_ds=dev_ds)
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "metrics.csv", "w") as fh:
-        fh.write(_header(cfg))
+        fh.write(_header(config_hash, seed))
         fh.write("epoch,train_loss,dev_accuracy\n")
         for i, loss in enumerate(report.train_loss, start=1):
             acc = _fmt(report.dev_accuracy[i - 1]) if report.dev_accuracy else ""
             fh.write(f"{i},{_fmt(loss)},{acc}\n")
-    save_params(out / "params.bin", model, report.params, seed=cfg["seed"])
+    save_params(out / "params.bin", net, report.params, seed=seed)
     summary = {
-        "config_hash": _config_hash(cfg),
-        "seed": cfg["seed"],
+        "config_hash": config_hash,
+        "seed": seed,
         "final_train_loss": report.train_loss[-1],
         "wall_time_s": round(report.wall_time, 3),
     }
     if dev_ds is not None:
         summary["final_dev_accuracy"] = report.dev_accuracy[-1]
     if test_ds is not None:
-        summary["test_accuracy"] = evaluate_accuracy(model, report.params, reg, test_ds, tcfg.solver)
+        summary["test_accuracy"] = evaluate_accuracy(net, report.params, reg, test_ds, tcfg.solver)
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"trained {model.architecture} model: final loss {_fmt(report.train_loss[-1])}")
+    print(f"trained {net.architecture} model: final loss {_fmt(report.train_loss[-1])}")
     if "test_accuracy" in summary:
         print(f"test accuracy {_fmt(summary['test_accuracy'])}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args.config, "eval")
-    params_path = Path(cfg["params"])
+def cmd_eval(
+    *,
+    config_hash: str,
+    params: str,
+    dataset: dict,
+    seed: int = 0,
+    split: dict = {},
+    regularizer: dict = {"kind": "gini_binary"},
+    solver: dict = {},
+    output: str = "",
+) -> int:
+    params_path = Path(params)
     if not params_path.exists():
         raise ContractViolation(f"params file not found: {params_path}")
-    model, params, header = load_params(params_path)
-    reg = _regularizer_from(cfg, model.k)
-    solver = _solver_from(cfg)
-    ds, dev_ds, test_ds = _prepare_splits(cfg)
+    model, weights, header = load_params(params_path)
+    reg = make_regularizer(k=model.k, **regularizer)
+    solver = SolverConfig(**solver)
+    ds, dev_ds, test_ds = _prepare_splits(dataset, split, seed)
     target = test_ds if test_ds is not None else ds
     if target.n == 0:
         raise ContractViolation("evaluation set is empty")
@@ -343,11 +305,11 @@ def cmd_eval(args) -> int:
             f"dataset is ({target.d} features, {target.k} labels), "
             f"model expects ({model.d}, {model.k})"
         )
-    Y_hat = hamming_decode(predict_marginals(model, params, reg, target.X, solver))
+    Y_hat = hamming_decode(predict_marginals(model, weights, reg, target.X, solver))
     acc = accuracy(Y_hat, target.Y)
-    if cfg.get("output"):
-        with open(cfg["output"], "w") as fh:
-            fh.write(_header(cfg))
+    if output:
+        with open(output, "w") as fh:
+            fh.write(_header(config_hash, seed))
             fh.write(",".join(f"label_{j}" for j in range(model.k)) + "\n")
             for row in Y_hat:
                 fh.write(",".join(str(int(x)) for x in row) + "\n")
@@ -393,10 +355,8 @@ def _gradcheck_instance(family: str, k: int, d: int, rng: np.random.Generator, r
         energy = MaxoutEnergy(d)
     elif family == "lse_net":
         energy = LogSumExpEnergy(d, gamma=1.0)
-    elif family == "spen":
+    else:  # spen, the last of ENERGY_KINDS
         energy = SpenEnergy(k, hidden=3, concave=True)
-    else:
-        raise ContractViolation(f"unknown gradcheck family {family!r}")
     v = energy.random_input(rng)
     if family == "pairwise":
         v = PairwiseInput(u=v.u, U=v.U - 0.05 * np.eye(k))  # stay NSD under the FD perturbation
@@ -417,97 +377,112 @@ def _gradcheck_instance(family: str, k: int, d: int, rng: np.random.Generator, r
     return energy, reg, v, y
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _load_config(args.config, "gradcheck")
-    family = cfg["family"]
-    k = cfg.get("k", 3)
-    d = cfg.get("d", 4)
-    n = cfg.get("instances", 50)
-    tol = cfg.get("tolerance", 1e-5)
-    reg_block = cfg.get("regularizer", {"kind": "gini_binary"})
-    make_regularizer(**reg_block, k=k)  # checks the block, although linear_quadratic overrides its kind
-    solver = _solver_from(cfg)
-    rng = rng_from_seed(cfg["seed"])
+def cmd_gradcheck(
+    *,
+    config_hash: str,
+    family: str,
+    seed: int = 0,
+    instances: int = 50,
+    k: int = 3,
+    d: int = 4,
+    tolerance: float = 1e-5,
+    regularizer: dict = {"kind": "gini_binary"},
+    solver: dict = {},
+) -> int:
+    if family not in ENERGY_KINDS:
+        raise ContractViolation(f"unknown gradcheck family {family!r}; choose from {ENERGY_KINDS}")
+    for name, size in (("instances", instances), ("k", k), ("d", d)):
+        if size < 1:
+            raise ContractViolation(f"{name} must be >= 1, got {size}")
+    if not tolerance > 0:
+        raise ContractViolation(f"tolerance must be positive, got {tolerance}")
+    make_regularizer(**regularizer, k=k)  # checks the block, although linear_quadratic overrides its kind
+    solver = SolverConfig(**solver)
+    rng = rng_from_seed(seed)
     worst = 0.0
-    for _ in range(n):
-        energy, reg, v, y = _gradcheck_instance(family, k, d, rng, reg_block, solver)
+    for _ in range(instances):
+        energy, reg, v, y = _gradcheck_instance(family, k, d, rng, regularizer, solver)
         envelope = gfy_loss(energy, reg, v, y, solver).grad_v
         fd = input_grad_finite_diff(energy, v, lambda vv: gfy_loss(energy, reg, vv, y, solver).value)
         worst = max(worst, rel_err(energy.input_to_vec(envelope), energy.input_to_vec(fd)))
-    print(f"gradcheck {family}: max relative error {worst:.3e} over {n} instances (tol {tol:g})")
-    return 0 if worst <= tol else CHECK_FAILURE
+    print(f"gradcheck {family}: max relative error {worst:.3e} over {instances} instances (tol {tolerance:g})")
+    return 0 if worst <= tolerance else CHECK_FAILURE
 
 
-def _energy_instance_from(block: dict):
-    kind = block["kind"]
-    if kind == "bilinear":
-        if "U" not in block or "v" not in block:
-            raise ContractViolation("bilinear instances need 'U' and 'v'")
-        return BilinearEnergy(np.asarray(block["U"], dtype=float)), np.asarray(block["v"], dtype=float)
-    if kind == "linear_quadratic":
-        if "A" not in block or "b" not in block:
-            raise ContractViolation("linear_quadratic instances need 'A' and 'b'")
-        A = np.asarray(block["A"], dtype=float)
-        b = np.asarray(block["b"], dtype=float)
-        return LinearQuadraticEnergy(b.size), LinQuadInput(A=A, b=b)
-    if kind == "pairwise":
-        if "u" not in block or "U" not in block:
-            raise ContractViolation("pairwise instances need 'u' and 'U'")
-        u = np.asarray(block["u"], dtype=float)
-        U = np.asarray(block["U"], dtype=float)
-        return PairwiseEnergy(u.size), PairwiseInput(u=u, U=U)
-    raise ContractViolation(f"unsupported conjbench energy {kind!r}")
-
-
-def cmd_conjbench(args) -> int:
-    cfg = _load_config(args.config, "conjbench")
-    energy, v = _energy_instance_from(cfg["energy"])
-    reg = _regularizer_from(
-        cfg, energy.k, default_kind="squared_l2" if energy.kind == "linear_quadratic" else "gini_binary"
-    )
-    solver = _solver_from(cfg)
+def cmd_conjbench(
+    *,
+    config_hash: str,
+    energy: dict,
+    seed: int = 0,
+    regularizer: dict | None = None,
+    solver: dict = {},
+    output: str = "",
+) -> int:
+    """Solve one instance; with no ``regularizer`` a linear_quadratic instance
+    takes squared L2 and any other binary Gini."""
+    phi, v = _energy_instance(**energy)
+    if regularizer is None:
+        regularizer = {"kind": "squared_l2" if phi.kind == "linear_quadratic" else "gini_binary"}
+    reg = make_regularizer(k=phi.k, **regularizer)
+    solver = SolverConfig(**solver)
     trace: list = []
-    res = conjugate(energy, reg, v, solver, trace=trace)
+    res = conjugate(phi, reg, v, solver, trace=trace)
     print(f"value {_fmt(res.value)}")
     print("argmax " + " ".join(_fmt(x) for x in res.argmax))
     print(f"status {res.status} iters {res.iters} gap {res.gap:.3e}")
-    grad_vec = energy.input_to_vec(res.envelope_grad)
+    grad_vec = phi.input_to_vec(res.envelope_grad)
     print("envelope_grad " + " ".join(_fmt(x) for x in grad_vec))
-    if cfg.get("output"):
-        with open(cfg["output"], "w") as fh:
-            fh.write(_header(cfg))
+    if output:
+        with open(output, "w") as fh:
+            fh.write(_header(config_hash, seed))
             fh.write("iteration,objective,optimality_gap\n")
             for it, obj, gap in trace:
                 fh.write(f"{it},{_fmt(obj)},{gap:.6e}\n")
     return 0
 
 
-def cmd_calibcheck(args) -> int:
-    cfg = _load_config(args.config, "calibcheck")
-    k = cfg["k"]
-    rng = rng_from_seed(cfg["seed"])
-    reg = _regularizer_from(cfg, k)
-    solver = _solver_from(cfg, tol=1e-10)
-    n_v = cfg.get("n_v", 100)
-    scale = cfg.get("v_scale", 3.0)
+def cmd_calibcheck(
+    *,
+    config_hash: str,
+    k: int,
+    coupling: str,
+    seed: int = 0,
+    regularizer: dict = {"kind": "gini_binary"},
+    n_v: int = 100,
+    v_scale: float = 3.0,
+    slack: float | None = None,
+    solver: dict = {},
+    output: str = "",
+) -> int:
+    """``slack`` is passed on only when the config sets it; ``calibration_check``
+    holds its default. The solver tolerance defaults to 1e-10."""
+    if not 1 <= k <= CALIBCHECK_MAX_K:
+        raise ContractViolation(f"k must be in 1..{CALIBCHECK_MAX_K}, got {k}")
+    if coupling not in ("bilinear", "pairwise"):
+        raise ContractViolation(f"unknown coupling {coupling!r}; choose from ('bilinear', 'pairwise')")
+    if n_v < 1:
+        raise ContractViolation(f"n_v must be >= 1, got {n_v}")
+    if not v_scale > 0:
+        raise ContractViolation(f"v_scale must be positive, got {v_scale}")
+    rng = rng_from_seed(seed)
+    reg = make_regularizer(k=k, **regularizer)
+    solver = SolverConfig(**{"tol": 1e-10, **solver})
     q = rng.dirichlet(np.ones(2**k))
-    if cfg["coupling"] == "bilinear":
+    if coupling == "bilinear":
         energy = BilinearEnergy(np.eye(k))
-        v_samples = [scale * rng.uniform(-1.0, 1.0, size=k) for _ in range(n_v)]
+        v_samples = [v_scale * rng.uniform(-1.0, 1.0, size=k) for _ in range(n_v)]
     else:
         energy = PairwiseEnergy(k)
         v_samples = []
         for _ in range(n_v):
             g = rng.standard_normal((k, k))
-            v_samples.append(
-                PairwiseInput(u=scale * rng.uniform(-1, 1, size=k), U=-(g @ g.T) / k)
-            )
+            v_samples.append(PairwiseInput(u=v_scale * rng.uniform(-1, 1, size=k), U=-(g @ g.T) / k))
     report = calibration_check(
-        energy, reg, q, v_samples, cfg=solver, slack=cfg.get("slack", 1e-6), seed=cfg["seed"]
+        energy, reg, q, v_samples, cfg=solver, seed=seed, **({} if slack is None else {"slack": slack})
     )
-    if cfg.get("output"):
-        with open(cfg["output"], "w") as fh:
-            fh.write(_header(cfg))
+    if output:
+        with open(output, "w") as fh:
+            fh.write(_header(config_hash, seed))
             fh.write("target_excess,surrogate_excess,xi,ok\n")
             for row in report.rows:
                 fh.write(
@@ -516,10 +491,20 @@ def cmd_calibcheck(args) -> int:
                 )
     status = "pass" if report.passed else "FAIL"
     print(
-        f"calibcheck {cfg['coupling']} k={k}: {status} over {n_v} inputs "
+        f"calibcheck {coupling} k={k}: {status} over {n_v} inputs "
         f"(sigma {report.sigma:.4g}, M {report.M:.4g}, min slack {report.worst_slack:.3e})"
     )
     return 0 if report.passed else CHECK_FAILURE
+
+
+COMMANDS = {
+    "train": cmd_train,
+    "eval": cmd_eval,
+    "gradcheck": cmd_gradcheck,
+    "conjbench": cmd_conjbench,
+    "calibcheck": cmd_calibcheck,
+}
+SCHEMAS = {name: _block_schema(fn, cli_supplied=("config_hash",)) for name, fn in COMMANDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -527,16 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="efy", description="Energy networks with generalized Fenchel-Young losses"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("train", cmd_train),
-        ("eval", cmd_eval),
-        ("gradcheck", cmd_gradcheck),
-        ("conjbench", cmd_conjbench),
-        ("calibcheck", cmd_calibcheck),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to a JSON config")
-        p.set_defaults(func=fn)
+    for name in COMMANDS:
+        sub.add_parser(name).add_argument("--config", required=True, help="path to a JSON config")
     return parser
 
 
@@ -547,20 +524,11 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors, which matches the contract
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
-    except (ContractViolation, ParseError, UnsupportedOperation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    except (
-        TrainingDivergence,
-        DivergenceError,
-        InfeasibleError,
-        SingularMatrixError,
-        EvaluationError,
-        DomainBoundaryError,
-    ) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return DIVERGENCE_ERROR
+        cfg = _load_config(args.config, args.command)
+        return COMMANDS[args.command](**cfg, config_hash=_config_hash(cfg))
+    except EfyError as exc:
+        print(f"{'error' if exc.exit_code == CONFIG_ERROR else 'numerical failure'}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -161,6 +161,8 @@ def coordinate_ascent_box_quadratic(
 
 def _finish(energy: Energy, v, p: np.ndarray, value: float, status: str, iters: int, gap: float) -> ConjugateResult:
     assert_finite(p, "conjugate argmax")
+    if not math.isfinite(value):
+        raise EvaluationError(f"conjugate value is {value}")
     return ConjugateResult(
         value=float(value),
         argmax=p,

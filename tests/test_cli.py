@@ -16,8 +16,9 @@ from efy import (
     rng_from_seed,
     save_params,
 )
-from efy import cli
+from efy import cli, exceptions
 from efy.cli import main
+from efy.energies import ENERGY_KINDS
 from efy.models import ARCHITECTURES
 from efy.regularizers import REGULARIZER_KINDS
 from efy.training import LOSS_KINDS
@@ -97,6 +98,18 @@ class TestConfigErrors:
         assert main([]) == 2
         assert main(["train"]) == 2
         capsys.readouterr()
+
+
+def test_each_error_type_carries_its_exit_code():
+    types = {v for v in vars(exceptions).values() if isinstance(v, type) and v.__module__ == exceptions.__name__}
+    config_errors = {exceptions.ContractViolation, exceptions.ParseError, exceptions.UnsupportedOperation}
+    assert len(types) == 10 and all(issubclass(t, exceptions.EfyError) for t in types)
+    for t in types - {exceptions.EfyError}:
+        assert t.exit_code == (2 if t in config_errors else 3), t
+    # each keeps its builtin base
+    assert issubclass(exceptions.ContractViolation, ValueError)
+    assert issubclass(exceptions.UnsupportedOperation, NotImplementedError)
+    assert issubclass(exceptions.TrainingDivergence, ArithmeticError)
 
 
 class TestGradcheck:
@@ -424,6 +437,40 @@ def test_integral_floats_in_integer_keys_exit_two(tmp_path, monkeypatch, capsys,
     assert "is not of type 'integer'" in err and re.search(rf"\b{name}\b", err)
 
 
+# One out-of-range value for each range or enum rule that the config schema
+# held on a key of the CLI's own before the subcommand schemas were derived
+# from the signatures; the subcommand must reject it and name the key.
+CLI_KEY_VIOLATIONS = [
+    *[("gradcheck", {key: 0}, key) for key in ("instances", "k", "d", "tolerance")],
+    ("gradcheck", {"family": "bogus"}, "family"),
+    ("calibcheck", {"k": 0}, "k"),
+    ("calibcheck", {"k": 5}, "k"),
+    ("calibcheck", {"coupling": "bogus"}, "coupling"),
+    ("calibcheck", {"n_v": 0}, "n_v"),
+    ("calibcheck", {"v_scale": 0}, "v_scale"),
+    ("calibcheck", {"slack": -1}, "slack"),
+    ("split", {"test_fraction": -0.1}, "test_fraction"),
+    ("split", {"test_fraction": 1.0}, "test_fraction"),
+    ("split", {"dev_fraction": 1.5}, "dev_fraction"),
+    ("energy", {"kind": "bogus"}, "kind"),
+]
+
+
+@pytest.mark.parametrize("block, values, name", CLI_KEY_VIOLATIONS)
+def test_out_of_range_cli_keys_exit_two(tmp_path, capsys, block, values, name):
+    if block == "split":
+        command, spec = "train", synthetic_train_config(tmp_path, epochs=1)
+        spec["split"].update(values)
+    elif block == "energy":
+        command, spec = "conjbench", {"energy": {"kind": "bilinear", "U": [[1.0]], "v": [1.0], **values}}
+    else:
+        base = {"gradcheck": {"family": "bilinear", "instances": 1}, "calibcheck": {"k": 1, "coupling": "bilinear", "n_v": 2}}
+        command, spec = block, {**base[block], **values}
+    cfg = write_config(tmp_path, "c.json", spec)
+    assert main([command, "--config", cfg]) == 2
+    assert re.search(rf"\b{name}\b", capsys.readouterr().err)
+
+
 def mostly(valid, out_of_range):
     """``valid`` nineteen draws in twenty, else ``out_of_range``: a config holds
     up to 18 such keys, and the solves run only when all of them are valid.
@@ -452,6 +499,11 @@ SYNTHETIC = st.fixed_dictionaries(
     optional={"seed": st.integers(), "coupling": NONNEGATIVE, "unary_scale": NONNEGATIVE, "gamma": POSITIVE},
 )
 LIBSVM_FILE = {"n_features": DIM, "n_labels": DIM, "labels_one_based": st.booleans()}
+REGULARIZER = st.fixed_dictionaries({"kind": st.sampled_from(REGULARIZER_KINDS)}, optional={"gamma": POSITIVE})
+SPLIT = st.fixed_dictionaries(
+    {},
+    optional={"test_fraction": FRACTION, "dev_fraction": FRACTION, "seed": st.integers(), "standardize": st.booleans()},
+)
 TRAIN_CONFIGS = st.fixed_dictionaries(
     {
         "output_dir": st.just("out"),
@@ -464,9 +516,7 @@ TRAIN_CONFIGS = st.fixed_dictionaries(
             {"architecture": st.sampled_from(ARCHITECTURES)},
             optional={"hidden": count(1, 3), "prior_hidden": count(1, 3), "concave": st.booleans()},
         ),
-        "regularizer": st.fixed_dictionaries(
-            {"kind": st.sampled_from(REGULARIZER_KINDS)}, optional={"gamma": POSITIVE}
-        ),
+        "regularizer": REGULARIZER,
         "train": st.fixed_dictionaries(
             {"epochs": count(1, 2)},
             optional={
@@ -483,20 +533,20 @@ TRAIN_CONFIGS = st.fixed_dictionaries(
     },
     optional={
         "seed": st.integers(),
-        "split": st.fixed_dictionaries(
-            {},
-            optional={
-                "test_fraction": FRACTION,
-                "dev_fraction": FRACTION,
-                "seed": st.integers(),
-                "standardize": st.booleans(),
-            },
-        ),
+        "split": SPLIT,
     },
 )
 
 
-TRAIN_SCHEMA = cli._Validator(cli.SCHEMAS["train"])
+def documented_exit(tmp_path, monkeypatch, capsys, command, spec):
+    """Run a schema-valid ``spec`` in ``tmp_path``: it must end in a documented exit code."""
+    cli._Validator(cli.SCHEMAS[command]).validate(spec)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EFY_SEED", raising=False)
+    cfg = write_config(tmp_path, f"{command}.json", spec)
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", cfg]) in (0, 2, 3, 4)
+    capsys.readouterr()
 
 
 def _train_spec(**blocks):
@@ -542,14 +592,8 @@ def _train_spec(**blocks):
 @example(spec=_train_spec(seed=-1))
 @example(spec=_train_spec(split={"test_fraction": 0.5, "seed": -3}))
 def test_schema_valid_train_configs_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, spec):
-    TRAIN_SCHEMA.validate(spec)
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("EFY_SEED", raising=False)
     (tmp_path / "data.txt").write_text(LIBSVM_TEXT)
-    cfg = write_config(tmp_path, "train.json", spec)
-    with np.errstate(all="ignore"):
-        assert main(["train", "--config", cfg]) in (0, 2, 3, 4)
-    capsys.readouterr()
+    documented_exit(tmp_path, monkeypatch, capsys, "train", spec)
 
 
 # Params files with random header fields and payload lengths. Field values
@@ -590,8 +634,6 @@ HEADER_EDITS = st.one_of(
 # a header dimension too large for a float: the weight scale raised TypeError
 @example(architecture="unary", edit={"set": {"d": 2**70}, "drop": set()}, payload_bytes=None)
 def test_params_files_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, architecture, edit, payload_bytes):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("EFY_SEED", raising=False)
     model = make_model(architecture, d=3, k=2, hidden=2, prior_hidden=2)
     path = tmp_path / "p.bin"
     save_params(path, model, model.init_params(0))
@@ -606,7 +648,166 @@ def test_params_files_exit_with_a_documented_code(tmp_path, monkeypatch, capsys,
     if payload_bytes is not None:
         payload = (payload * 2)[:payload_bytes]
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
-    cfg = write_config(tmp_path, "eval.json", {"params": "p.bin", "dataset": {"synthetic": {"n": 4, "d": 3, "k": 2}}})
+    spec = {"params": "p.bin", "dataset": {"synthetic": {"n": 4, "d": 3, "k": 2}}}
+    documented_exit(tmp_path, monkeypatch, capsys, "eval", spec)
+
+
+# Schema-valid configs of the other four subcommands. As for train, sizes are
+# capped for run time only and an omitted max_iters would mean 10000
+# iterations; the conjbench arrays sometimes hold a string, a null, a boolean
+# or a nested list, or are ragged.
+SOLVER = st.fixed_dictionaries({"max_iters": count(1, 50)}, optional={"tol": POSITIVE, "init_step": POSITIVE})
+RUN = {"seed": st.integers(), "regularizer": REGULARIZER}
+ENTRY = mostly(
+    st.floats(-10.0, 10.0),
+    st.one_of(st.floats(), st.text(max_size=2), st.none(), st.booleans(), st.lists(st.floats(-1.0, 1.0), max_size=2)),
+)
+
+
+# Configs the fuzzes below found, with the exit code and the stderr text they
+# must give; each failed at the parent as the comment says.
+REPRODUCERS = [
+    # a string entry, a ragged array, a v that does not match U's rows and an
+    # empty A for a b of four entries: numpy raised ValueError
+    ("conjbench", {"energy": {"kind": "bilinear", "U": [["a"]], "v": [1.0]}}, 2, "energy.U"),
+    ("conjbench", {"energy": {"kind": "pairwise", "u": [1.0, 2.0], "U": [[1.0], [1.0, 2.0]]}}, 2, "energy.U"),
+    ("conjbench", {"energy": {"kind": "bilinear", "U": [[1.0, 2.0]], "v": [1.0, 2.0]}}, 2, "energy.v"),
+    ("conjbench", {"energy": {"kind": "linear_quadratic", "A": [], "b": [0.0] * 4}}, 2, "energy.A"),
+    # an overflowing value: printed "value inf" and exited 0
+    (
+        "conjbench",
+        {"energy": {"kind": "bilinear", "U": [[1e308]], "v": [1e308]}, "regularizer": {"kind": "indicator"}},
+        3,
+        "conjugate value is inf",
+    ),
+    # a sampled smoothness of 0: comparison_bound raised ZeroDivisionError
+    (
+        "calibcheck",
+        {"k": 1, "coupling": "pairwise", "n_v": 2, "regularizer": {"kind": "gini_binary", "gamma": 1e300}},
+        3,
+        "smoothness M = 0.0",
+    ),
+    # an overflowing SPD solve: scipy raised "array must not contain infs or NaNs"
+    (
+        "calibcheck",
+        {"k": 2, "coupling": "pairwise", "n_v": 4, "seed": 1496227,
+         "regularizer": {"kind": "squared_l2", "gamma": 5e-324}},
+        3,
+        "solve_spd result",
+    ),
+]
+
+
+def pinned(command):
+    """Pin each reproducer of ``command`` as an explicit example of its fuzz."""
+
+    def decorate(test):
+        for cmd, spec, _, _ in REPRODUCERS:
+            test = example(spec=spec)(test) if cmd == command else test
+        return test
+
+    return decorate
+
+
+@pytest.mark.parametrize("command, spec, code, message", REPRODUCERS)
+def test_fuzz_reproducers(tmp_path, monkeypatch, capsys, command, spec, code, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "c.json", spec)
     with np.errstate(all="ignore"):
-        assert main(["eval", "--config", cfg]) in (0, 2, 3, 4)
-    capsys.readouterr()
+        assert main([command, "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:" if code == 2 else "numerical failure:") and message in err
+
+
+FUZZ = settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@FUZZ
+@given(
+    architecture=st.sampled_from(ARCHITECTURES),
+    spec=st.fixed_dictionaries(
+        {
+            "params": st.just("p.bin"),
+            "dataset": st.one_of(
+                st.fixed_dictionaries(
+                    {
+                        "synthetic": st.fixed_dictionaries(
+                            {"n": count(1, 12), "d": mostly(st.just(3), DIM), "k": mostly(st.just(2), DIM)},
+                            optional={"seed": st.integers(), "coupling": NONNEGATIVE, "gamma": POSITIVE},
+                        )
+                    }
+                ),
+                st.fixed_dictionaries({"path": st.just("data.txt")}, optional=LIBSVM_FILE),
+            ),
+            "solver": SOLVER,
+        },
+        optional={**RUN, "split": SPLIT, "output": st.just("pred.csv")},
+    ),
+)
+def test_schema_valid_eval_configs_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, architecture, spec):
+    model = make_model(architecture, d=3, k=2, hidden=2, prior_hidden=2)
+    save_params(tmp_path / "p.bin", model, model.init_params(0))
+    (tmp_path / "data.txt").write_text(LIBSVM_TEXT)
+    documented_exit(tmp_path, monkeypatch, capsys, "eval", spec)
+
+
+@FUZZ
+@given(
+    spec=st.fixed_dictionaries(
+        {
+            "family": mostly(st.sampled_from(ENERGY_KINDS), st.text(max_size=8)),
+            "instances": count(1, 3),
+            "solver": SOLVER,
+        },
+        optional={**RUN, "k": count(1, 4), "d": count(1, 5), "tolerance": POSITIVE},
+    )
+)
+def test_schema_valid_gradcheck_configs_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, spec):
+    monkeypatch.setattr(cli, "SPEN_SCREEN_MAX_DRAWS", 5)  # a config that clears no kink is already exit 3
+    documented_exit(tmp_path, monkeypatch, capsys, "gradcheck", spec)
+
+
+def conjbench_energy(n):
+    vector = st.lists(ENTRY, min_size=n, max_size=n)
+    ragged = st.lists(st.one_of(ENTRY, st.lists(ENTRY, max_size=4)), max_size=4)
+    matrix = st.lists(vector, min_size=n, max_size=n)
+    arrays = {"U": matrix, "A": matrix, "b": vector, "u": vector, "v": vector}
+    return st.fixed_dictionaries(
+        {"kind": mostly(st.sampled_from(("bilinear", "linear_quadratic", "pairwise")), st.text(max_size=8))},
+        optional={key: mostly(shape, ragged) for key, shape in arrays.items()},
+    )
+
+
+@FUZZ
+@given(
+    spec=st.fixed_dictionaries(
+        {"energy": st.integers(1, 4).flatmap(conjbench_energy), "solver": SOLVER},
+        optional={**RUN, "output": st.just("trace.csv")},
+    )
+)
+@pinned("conjbench")
+def test_schema_valid_conjbench_configs_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, spec):
+    documented_exit(tmp_path, monkeypatch, capsys, "conjbench", spec)
+
+
+@FUZZ
+@given(
+    spec=st.fixed_dictionaries(
+        {
+            "k": count(1, 2),
+            "coupling": mostly(st.sampled_from(("bilinear", "pairwise")), st.text(max_size=8)),
+            "n_v": count(1, 4),
+            "solver": SOLVER,
+        },
+        optional={**RUN, "v_scale": POSITIVE, "slack": NONNEGATIVE, "output": st.just("calib.csv")},
+    )
+)
+@pinned("calibcheck")
+def test_schema_valid_calibcheck_configs_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, spec):
+    documented_exit(tmp_path, monkeypatch, capsys, "calibcheck", spec)
