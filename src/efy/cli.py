@@ -205,8 +205,14 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
-def _header(config_hash: str, seed: int) -> str:
-    return f"# config={config_hash} seed={seed}\n"
+def _write_csv(path, config_hash: str, seed: int, columns, lines) -> None:
+    """The provenance header line, then ``columns`` and each of ``lines`` comma-joined; an unwritable path exits 2."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(f"# config={config_hash} seed={seed}\n")
+            fh.writelines(",".join(map(str, line)) + "\n" for line in [columns, *lines])
+    except OSError as exc:
+        raise ContractViolation(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_dataset(block: dict, seed: int) -> MultilabelDataset:
@@ -250,15 +256,15 @@ def cmd_train(
     train_ds, dev_ds, test_ds = _prepare_splits(dataset, split, seed)
     net = make_model(d=train_ds.d, k=train_ds.k, **model)
     reg = make_regularizer(k=train_ds.k, **regularizer)
-    report = training.train(net, reg, train_ds, tcfg, dev_ds=dev_ds)
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics.csv", "w") as fh:
-        fh.write(_header(config_hash, seed))
-        fh.write("epoch,train_loss,dev_accuracy\n")
-        for i, loss in enumerate(report.train_loss, start=1):
-            acc = _fmt(report.dev_accuracy[i - 1]) if report.dev_accuracy else ""
-            fh.write(f"{i},{_fmt(loss)},{acc}\n")
+    try:  # before the training run, so an unusable directory costs no work
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ContractViolation(f"cannot create output_dir {out}: {exc.strerror}") from None
+    report = training.train(net, reg, train_ds, tcfg, dev_ds=dev_ds)
+    accs = [_fmt(acc) for acc in report.dev_accuracy] or [""] * len(report.train_loss)
+    lines = [(i, _fmt(loss), acc) for i, (loss, acc) in enumerate(zip(report.train_loss, accs), start=1)]
+    _write_csv(out / "metrics.csv", config_hash, seed, ("epoch", "train_loss", "dev_accuracy"), lines)
     save_params(out / "params.bin", net, report.params, seed=seed)
     summary = {
         "config_hash": config_hash,
@@ -308,11 +314,7 @@ def cmd_eval(
     Y_hat = hamming_decode(predict_marginals(model, weights, reg, target.X, solver))
     acc = accuracy(Y_hat, target.Y)
     if output:
-        with open(output, "w") as fh:
-            fh.write(_header(config_hash, seed))
-            fh.write(",".join(f"label_{j}" for j in range(model.k)) + "\n")
-            for row in Y_hat:
-                fh.write(",".join(str(int(x)) for x in row) + "\n")
+        _write_csv(output, config_hash, seed, [f"label_{j}" for j in range(model.k)], Y_hat.astype(int).tolist())
     print(f"accuracy {_fmt(acc)} on {target.n} instances")
     return 0
 
@@ -433,11 +435,8 @@ def cmd_conjbench(
     grad_vec = phi.input_to_vec(res.envelope_grad)
     print("envelope_grad " + " ".join(_fmt(x) for x in grad_vec))
     if output:
-        with open(output, "w") as fh:
-            fh.write(_header(config_hash, seed))
-            fh.write("iteration,objective,optimality_gap\n")
-            for it, obj, gap in trace:
-                fh.write(f"{it},{_fmt(obj)},{gap:.6e}\n")
+        lines = [(it, _fmt(obj), f"{gap:.6e}") for it, obj, gap in trace]
+        _write_csv(output, config_hash, seed, ("iteration", "objective", "optimality_gap"), lines)
     return 0
 
 
@@ -481,14 +480,9 @@ def cmd_calibcheck(
         energy, reg, q, v_samples, cfg=solver, seed=seed, **({} if slack is None else {"slack": slack})
     )
     if output:
-        with open(output, "w") as fh:
-            fh.write(_header(config_hash, seed))
-            fh.write("target_excess,surrogate_excess,xi,ok\n")
-            for row in report.rows:
-                fh.write(
-                    f"{_fmt(row['target_excess'])},{_fmt(row['surrogate_excess'])},"
-                    f"{_fmt(row['xi'])},{int(row['ok'])}\n"
-                )
+        columns = ("target_excess", "surrogate_excess", "xi", "ok")
+        lines = [[_fmt(row[c]) for c in columns[:3]] + [int(row["ok"])] for row in report.rows]
+        _write_csv(output, config_hash, seed, columns, lines)
     status = "pass" if report.passed else "FAIL"
     print(
         f"calibcheck {coupling} k={k}: {status} over {n_v} inputs "

@@ -165,6 +165,8 @@ class Standardizer:
 
     @classmethod
     def fit(cls, ds: MultilabelDataset) -> "Standardizer":
+        if ds.n == 0:
+            raise ContractViolation("cannot standardize on an empty training set")
         mean = ds.X.mean(axis=0)
         std = ds.X.std(axis=0)
         # Constant columns get unit scale instead of a division blow-up.

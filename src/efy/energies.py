@@ -47,9 +47,6 @@ class _FieldArithmetic:
         pairs = zip(walk(self), walk(other), strict=True)
         return rebuild(self, iter([op(a, b) for (_, a), (_, b) in pairs]))
 
-    def _scale(self, c: float):
-        return rebuild(self, iter([c * a for _, a in walk(self)]))
-
     def __add__(self, other):
         return self._zip(other, np.add)
 
@@ -57,12 +54,9 @@ class _FieldArithmetic:
         return self._zip(other, np.subtract)
 
     def __mul__(self, c):
-        return self._scale(float(c))
+        return rebuild(self, iter([float(c) * a for _, a in walk(self)]))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._scale(-1.0)
 
 
 @dataclass

@@ -10,6 +10,11 @@ Three architectures, all built on one hidden-layer relu MLPs:
   themselves part of the model parameters and ride along in the energy input,
   so their gradient is an identity pass-through.
 
+Rows are the batch axis: ``forward`` and ``vjp`` take one row ``(d,)`` or a
+matrix ``(B, d)``. A batched energy input has a leading ``B`` axis on every
+leaf (spen rows share the prior weights, as read-only broadcast views), and
+``vjp`` returns the parameter gradient summed over the rows.
+
 Backpropagation is written out by hand (the graphs are three lines long).
 Parameters are dataclass trees: ``Model.params_to_vec``/``vec_to_params``
 flatten them through the field walk in :mod:`~efy.numerics`, and they
@@ -37,7 +42,7 @@ from .energies import (
     relu,
 )
 from .exceptions import ContractViolation, ParseError
-from .numerics import as_vec, flatten, rng_from_seed, unflatten, walk
+from .numerics import flatten, rebuild, rng_from_seed, stack, unflatten, walk
 
 FORMAT_TAG = "efy-params-v1"
 
@@ -68,15 +73,17 @@ class SpenParams:
     prior: PriorWeights
 
 
-def _mlp_forward(p: MLPParams, x: np.ndarray) -> np.ndarray:
-    return p.W2 @ relu(p.W1 @ x + p.b1) + p.b2
+# ndarray.dot skips the ufunc dispatch of ``@``, which costs more than the
+# arithmetic when a batch is a single row.
+def _mlp_forward(p: MLPParams, X: np.ndarray) -> np.ndarray:
+    return relu(X.dot(p.W1.T) + p.b1).dot(p.W2.T) + p.b2
 
 
-def _mlp_vjp(p: MLPParams, x: np.ndarray, g: np.ndarray) -> MLPParams:
-    z = p.W1 @ x + p.b1
-    h = relu(z)
-    dz = (p.W2.T @ g) * (z > 0.0)
-    return MLPParams(W1=np.outer(dz, x), b1=dz, W2=np.outer(g, h), b2=g.copy())
+def _mlp_vjp(p: MLPParams, X: np.ndarray, G: np.ndarray) -> MLPParams:
+    """Gradient summed over the rows of ``X`` (B, d) with upstream ``G`` (B, k)."""
+    Z = X.dot(p.W1.T) + p.b1
+    dZ = G.dot(p.W2) * (Z > 0.0)
+    return MLPParams(W1=dZ.T.dot(X), b1=dZ.sum(axis=0), W2=G.T.dot(relu(Z)), b2=G.sum(axis=0))
 
 
 def _uniform(rng, shape, fan_in: int) -> np.ndarray:
@@ -105,11 +112,19 @@ class Model:
         raise NotImplementedError
 
     def forward(self, params, x):
+        """Energy input of a row ``x`` (d,); for a matrix (B, d), one with a leading ``B`` axis on every leaf.
+
+        spen rows share the prior weights, as read-only views of ``params``."""
         raise NotImplementedError
 
     def vjp(self, params, x, grad_v):
-        """Parameter gradient of ``<grad_v, forward(params, x)>``."""
-        raise NotImplementedError
+        """Parameter gradient of ``<grad_v, forward(params, x)>``, summed over the rows of a matrix ``x``.
+
+        ``grad_v`` is batched like ``forward``'s output; a row ``x`` (d,) is the ``B = 1`` case."""
+        x = self._check_x(x)
+        if x.ndim == 1:
+            x, grad_v = x[None], stack([grad_v])
+        return self._vjp(params, x, grad_v)
 
     def energy(self):
         raise NotImplementedError
@@ -142,9 +157,9 @@ class Model:
         )
 
     def _check_x(self, x) -> np.ndarray:
-        x = as_vec(x, "feature vector")
-        if x.size != self.d:
-            raise ContractViolation(f"feature vector has dim {x.size}, model expects {self.d}")
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
+            raise ContractViolation(f"features have shape {x.shape}, model expects ({self.d},) or (B, {self.d})")
         return x
 
 
@@ -157,8 +172,8 @@ class UnaryModel(Model):
     def forward(self, params: MLPParams, x) -> np.ndarray:
         return _mlp_forward(params, self._check_x(x))
 
-    def vjp(self, params: MLPParams, x, grad_v) -> MLPParams:
-        return _mlp_vjp(params, self._check_x(x), as_vec(grad_v))
+    def _vjp(self, params: MLPParams, X, G) -> MLPParams:
+        return _mlp_vjp(params, X, G)
 
     def energy(self) -> BilinearEnergy:
         return BilinearEnergy(np.eye(self.k))
@@ -176,19 +191,14 @@ class PairwiseModel(Model):
 
     def forward(self, params: PairwiseParams, x) -> PairwiseInput:
         x = self._check_x(x)
-        a = params.WA @ x + params.bA
-        return PairwiseInput(u=_mlp_forward(params.unary, x), U=-np.outer(a, a))
+        a = x.dot(params.WA.T) + params.bA
+        return PairwiseInput(u=_mlp_forward(params.unary, x), U=-(a[..., :, None] * a[..., None, :]))
 
-    def vjp(self, params: PairwiseParams, x, grad_v: PairwiseInput) -> PairwiseParams:
-        x = self._check_x(x)
-        a = params.WA @ x + params.bA
-        # d<G, -a a^T>/da = -(G + G^T) a
-        ga = -(grad_v.U + grad_v.U.T) @ a
-        return PairwiseParams(
-            unary=_mlp_vjp(params.unary, x, as_vec(grad_v.u)),
-            WA=np.outer(ga, x),
-            bA=ga,
-        )
+    def _vjp(self, params: PairwiseParams, X, G: PairwiseInput) -> PairwiseParams:
+        A = X.dot(params.WA.T) + params.bA
+        # d<G, -a a^T>/da = -(G + G^T) a, row by row
+        GA = -((G.U + G.U.swapaxes(1, 2)) @ A[:, :, None])[:, :, 0]
+        return PairwiseParams(unary=_mlp_vjp(params.unary, X, G.u), WA=GA.T.dot(X), bA=GA.sum(axis=0))
 
     def energy(self) -> PairwiseEnergy:
         return PairwiseEnergy(self.k)
@@ -216,15 +226,17 @@ class SpenModel(Model):
         return SpenParams(unary=unary, prior=prior)
 
     def forward(self, params: SpenParams, x) -> SpenInput:
-        return SpenInput(u=_mlp_forward(params.unary, self._check_x(x)), w=params.prior)
+        x = self._check_x(x)
+        w = params.prior
+        if x.ndim == 2:  # every row holds the same weights: views, not copies
+            w = rebuild(w, iter([np.broadcast_to(leaf, (len(x), *np.shape(leaf))) for _, leaf in walk(w)]))
+        return SpenInput(u=_mlp_forward(params.unary, x), w=w)
 
-    def vjp(self, params: SpenParams, x, grad_v: SpenInput) -> SpenParams:
+    def _vjp(self, params: SpenParams, X, G: SpenInput) -> SpenParams:
         # The prior weights enter the energy input directly, so their
-        # gradient passes through unchanged.
-        return SpenParams(
-            unary=_mlp_vjp(params.unary, self._check_x(x), as_vec(grad_v.u)),
-            prior=grad_v.w,
-        )
+        # gradient passes through, summed over the rows.
+        prior = rebuild(G.w, iter([leaf.sum(axis=0) for _, leaf in walk(G.w)]))
+        return SpenParams(unary=_mlp_vjp(params.unary, X, G.u), prior=prior)
 
     def energy(self) -> SpenEnergy:
         return SpenEnergy(self.k, self.prior_hidden, concave=self.concave)

@@ -1,5 +1,5 @@
 """Dense linear-algebra substrate: validation, seeded RNG, finite differences,
-and the flatten/unflatten of structured values.
+and the flatten/unflatten and batch axis of structured values.
 
 Everything here is deterministic. Matrices are dense ``float64`` arrays;
 no sparse formats are supported.
@@ -153,8 +153,8 @@ def walk(tree, prefix: str = "") -> Iterator[tuple[str, object]]:
         return
     for name in names:
         node = getattr(tree, name)
-        # Leaves are yielded here, not by a nested call: training flattens
-        # once per sample, and a generator per leaf is measurable there.
+        # Leaves are yielded here, not by a nested call: the loss arithmetic
+        # walks each sample's input, and a generator per leaf is measurable there.
         if _field_names(type(node)) is None:
             yield prefix + name, node
         else:
@@ -172,6 +172,24 @@ def rebuild(like, leaves: Iterator):
     if names is None:
         return next(leaves)
     return type(like)(*[rebuild(getattr(like, name), leaves) for name in names])
+
+
+# row and stack recurse on the field names directly: both run once per sample,
+# where walk's generators cost more than the indexing they would drive.
+def row(tree, i: int):
+    """Row ``i`` of a batched tree: each leaf indexed on its leading axis."""
+    names = _field_names(type(tree))
+    if names is None:
+        return tree[i]
+    return type(tree)(*[row(getattr(tree, name), i) for name in names])
+
+
+def stack(trees: list):
+    """One batched tree from same-shaped ``trees``: each leaf gains a leading axis."""
+    names = _field_names(type(trees[0]))
+    if names is None:
+        return np.stack(trees)
+    return type(trees[0])(*[stack([getattr(tree, name) for tree in trees]) for name in names])
 
 
 def unflatten(like, vec):

@@ -22,7 +22,7 @@ from .data import MultilabelDataset, split
 from .exceptions import ContractViolation, DivergenceError, EvaluationError, TrainingDivergence
 from .losses import energy_loss, gfy_loss, perceptron_loss, xent_loss
 from .models import Model
-from .numerics import rng_from_seed
+from .numerics import rng_from_seed, row, stack
 from .regularizers import Regularizer
 
 LOSS_KINDS = ("gfy", "perceptron", "energy", "xent")
@@ -94,10 +94,10 @@ def objective_value(
 ) -> float:
     """Exact training objective on the given rows (reference for gradient checks)."""
     energy = model.energy()
+    V = model.forward(params, X)
     total = 0.0
     for i in range(X.shape[0]):
-        v = model.forward(params, X[i])
-        total += sample_loss(energy, reg, loss_kind, v, Y[i], solver).value
+        total += sample_loss(energy, reg, loss_kind, row(V, i), Y[i], solver).value
     theta = model.params_to_vec(params)
     return total / X.shape[0] + 0.5 * l2_weight * float(theta @ theta)
 
@@ -121,19 +121,19 @@ def batch_gradient(
     rows = range(X.shape[0]) if rows is None else rows
     energy = model.energy()
     theta = model.params_to_vec(params)
-    grad = np.zeros_like(theta)
+    V = model.forward(params, X)
     total = 0.0
+    grads_v = []
     for i in range(X.shape[0]):
         try:
-            v = model.forward(params, X[i])
-            le = sample_loss(energy, reg, loss_kind, v, Y[i], solver)
+            le = sample_loss(energy, reg, loss_kind, row(V, i), Y[i], solver)
         except (EvaluationError, DivergenceError) as exc:
             raise TrainingDivergence(f"diverged at sample {rows[i]}: {exc}") from exc
         if not math.isfinite(le.value):
             raise TrainingDivergence(f"non-finite loss at sample {rows[i]}")
         total += le.value
-        grad += model.params_to_vec(model.vjp(params, X[i], le.grad_v))
-    grad /= X.shape[0]
+        grads_v.append(le.grad_v)
+    grad = model.params_to_vec(model.vjp(params, X, stack(grads_v))) / X.shape[0]
     total /= X.shape[0]
     grad += l2_weight * theta
     if not np.all(np.isfinite(grad)):
@@ -143,9 +143,10 @@ def batch_gradient(
 
 def predict_marginals(model: Model, params, reg: Regularizer, X: np.ndarray, solver: SolverConfig | None = None) -> np.ndarray:
     energy = model.energy()
+    V = model.forward(params, X)
     out = np.empty((X.shape[0], model.k))
     for i in range(X.shape[0]):
-        out[i] = conjugate(energy, reg, model.forward(params, X[i]), solver).argmax
+        out[i] = conjugate(energy, reg, row(V, i), solver).argmax
     return out
 
 

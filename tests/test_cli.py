@@ -364,6 +364,47 @@ class TestCalibcheck:
         assert all(r[3] == "1" for r in rows)
 
 
+UNWRITABLE = {
+    "train": lambda tmp_path: synthetic_train_config(tmp_path, out_name="taken"),  # a file, not a directory
+    "eval": lambda tmp_path: {
+        "params": str(tmp_path / "p.bin"),
+        "dataset": {"synthetic": {"n": 4, "d": 3, "k": 2}},
+        "output": str(tmp_path / "nodir" / "pred.csv"),
+    },
+    "conjbench": lambda tmp_path: {
+        "energy": {"kind": "bilinear", "U": [[1.0]], "v": [0.5]},
+        "output": str(tmp_path / "nodir" / "trace.csv"),
+    },
+    "calibcheck": lambda tmp_path: {
+        "k": 1, "coupling": "bilinear", "n_v": 2, "output": str(tmp_path / "nodir" / "calib.csv")
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE))
+def test_unwritable_outputs_exit_two(tmp_path, monkeypatch, capsys, command):
+    (tmp_path / "taken").write_text("")
+    model = make_model("unary", d=3, k=2, hidden=2)
+    save_params(tmp_path / "p.bin", model, model.init_params(0))
+    spec = UNWRITABLE[command](tmp_path)
+    # the output directory is checked before any training is done
+    monkeypatch.setattr(cli.training, "train", lambda *args, **kwargs: pytest.fail("trained first"))
+    cfg = write_config(tmp_path, "c.json", spec)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and spec.get("output", spec.get("output_dir")) in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_empty_training_part_is_rejected_before_it_is_standardized(tmp_path, capsys):
+    spec = synthetic_train_config(tmp_path)
+    spec["dataset"]["synthetic"]["n"] = 3
+    spec["split"] = {"test_fraction": 0.5, "dev_fraction": 0.4, "standardize": True}
+    cfg = write_config(tmp_path, "c.json", spec)
+    assert main(["train", "--config", cfg]) == 2
+    assert "empty training set" in capsys.readouterr().err
+
+
 # One out-of-range value for each range or enum rule that the config schema
 # held on a block before the block schemas were derived from the signatures;
 # the function a block feeds must reject it and name the setting.
@@ -561,6 +602,7 @@ def _train_spec(**blocks):
     }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(
     max_examples=700,
     derandomize=True,
@@ -728,6 +770,7 @@ FUZZ = settings(
 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(
     architecture=st.sampled_from(ARCHITECTURES),
@@ -757,6 +800,7 @@ def test_schema_valid_eval_configs_exit_with_a_documented_code(tmp_path, monkeyp
     documented_exit(tmp_path, monkeypatch, capsys, "eval", spec)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(
     spec=st.fixed_dictionaries(
@@ -784,6 +828,7 @@ def conjbench_energy(n):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(
     spec=st.fixed_dictionaries(
@@ -796,6 +841,7 @@ def test_schema_valid_conjbench_configs_exit_with_a_documented_code(tmp_path, mo
     documented_exit(tmp_path, monkeypatch, capsys, "conjbench", spec)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(
     spec=st.fixed_dictionaries(

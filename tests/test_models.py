@@ -10,6 +10,7 @@ from efy import (
     MLPParams,
     PairwiseInput,
     ParseError,
+    PriorWeights,
     SolverConfig,
     SpenInput,
     SquaredL2,
@@ -23,6 +24,9 @@ from efy import (
     rng_from_seed,
     save_params,
 )
+
+from efy.models import ARCHITECTURES
+from efy.numerics import rel_err, row, stack, walk
 
 from support import margin_uniform, rewrite_params_header
 
@@ -222,6 +226,56 @@ class TestVjp:
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert float(np.max(np.abs(got - want))) <= 1e-4 * scale, arch
                 checked += 1
+
+
+def random_grad_v(model, rng):
+    """An upstream gradient shaped like one energy input of ``model``."""
+    k = model.k
+    if model.architecture == "unary":
+        return rng.standard_normal(k)
+    if model.architecture == "pairwise":
+        return PairwiseInput(u=rng.standard_normal(k), U=rng.standard_normal((k, k)))
+    h = model.prior_hidden
+    prior = PriorWeights(
+        W1=rng.standard_normal((h, k)), b1=rng.standard_normal(h), W2=rng.standard_normal(h), b2=float(rng.standard_normal())
+    )
+    return SpenInput(u=rng.standard_normal(k), w=prior)
+
+
+def assert_trees_close(got, want, rtol=1e-12):
+    assert [name for name, _ in walk(got)] == [name for name, _ in walk(want)]
+    for (name, a), (_, b) in zip(walk(got), walk(want)):
+        assert rel_err(a, b) <= rtol, name
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_each_row_of_a_batch_is_the_single_row_map(self, arch, B):
+        rng = rng_from_seed(12)
+        model = make_model(arch, d=5, k=3, hidden=4, prior_hidden=2)
+        params = model.init_params(3)
+        X = rng.standard_normal((B, 5))
+        V = model.forward(params, X)
+        assert all(np.shape(leaf)[0] == B for _, leaf in walk(V))
+        for i in range(B):
+            assert_trees_close(row(V, i), model.forward(params, X[i]))
+        G = [random_grad_v(model, rng) for _ in range(B)]
+        per_row = sum(model.params_to_vec(model.vjp(params, X[i], G[i])) for i in range(B))
+        assert rel_err(model.params_to_vec(model.vjp(params, X, stack(G))), per_row) <= 1e-12
+
+    def test_spen_rows_share_the_prior_weights_without_copies(self):
+        model = make_model("spen", d=4, k=3, hidden=2, prior_hidden=2)
+        params = model.init_params(0)
+        w = model.forward(params, np.ones((5, 4))).w
+        assert w.W1.shape == (5, 2, 3) and w.b2.shape == (5,)
+        assert np.shares_memory(w.W1, params.prior.W1) and not w.W1.flags.writeable
+
+    def test_feature_shape_checked(self):
+        model = make_model("unary", d=4, k=2)
+        for bad in (np.ones((2, 5)), np.ones((2, 2, 4)), np.ones(())):
+            with pytest.raises(ContractViolation, match="features"):
+                model.forward(model.init_params(0), bad)
 
 
 class TestSerialization:

@@ -8,7 +8,9 @@ from efy import (
     SingularMatrixError,
     SpenInput,
     conjugate,
+    LinQuadInput,
     LinearQuadraticEnergy,
+    PairwiseInput,
     make_regularizer,
     reals,
 )
@@ -18,7 +20,9 @@ from efy.numerics import (
     is_negative_semidefinite,
     rel_err,
     rng_from_seed,
+    row,
     solve_spd,
+    stack,
     unflatten,
     walk,
 )
@@ -168,3 +172,24 @@ class TestFlatten:
         for size in (14, 16):
             with pytest.raises(ContractViolation):
                 unflatten(spen_input_like(), np.zeros(size))
+
+
+class TestBatchAxis:
+    def test_row_of_stack_round_trips(self):
+        rng = rng_from_seed(4)
+        draws = {
+            "array": lambda: rng.standard_normal(3),
+            "pairwise": lambda: PairwiseInput(u=rng.standard_normal(2), U=rng.standard_normal((2, 2))),
+            "linquad": lambda: LinQuadInput(A=rng.standard_normal((2, 2)), b=rng.standard_normal(2)),
+            "spen": lambda: unflatten(spen_input_like(), rng.standard_normal(15)),
+        }
+        for kind, draw in draws.items():
+            trees = [draw() for _ in range(3)]
+            batch = stack(trees)
+            assert all(np.shape(leaf)[0] == 3 for _, leaf in walk(batch)), kind
+            for i, tree in enumerate(trees):
+                back = row(batch, i)
+                assert type(back) is type(tree), kind
+                assert [name for name, _ in walk(back)] == [name for name, _ in walk(tree)], kind
+                np.testing.assert_array_equal(flatten(back), flatten(tree), err_msg=kind)
+        assert type(trees[0].w.b2) is float and row(batch, 0).w.b2 == trees[0].w.b2

@@ -6,6 +6,7 @@ from efy import (
     GiniBinary,
     MultilabelDataset,
     ShannonBinary,
+    SolverConfig,
     TrainConfig,
     TrainingDivergence,
     batch_gradient,
@@ -21,6 +22,8 @@ from efy import (
     train,
 )
 from dataclasses import replace
+
+from efy import losses
 
 from support import margin_uniform
 
@@ -166,6 +169,33 @@ class TestTrainingRuns:
         P = predict_marginals(model, model.init_params(0), reg, ds.X)
         assert P.shape == (ds.n, 2)
         assert float(P.min()) >= 0.0 and float(P.max()) <= 1.0
+
+
+class TestBatchAxis:
+    def test_an_empty_matrix_predicts_an_empty_matrix(self):
+        for arch in ("unary", "pairwise", "spen"):
+            model = make_model(arch, d=4, k=3, hidden=2, prior_hidden=2)
+            out = predict_marginals(model, model.init_params(0), GiniBinary(1.0, 3), np.zeros((0, 4)))
+            assert out.shape == (0, 3), arch
+
+    @pytest.mark.parametrize("arch", ["unary", "pairwise", "spen"])
+    def test_one_forward_and_one_vjp_per_batch_and_one_solve_per_row(self, arch, monkeypatch):
+        ds = planted_pairwise(6, 4, 3, seed=1)
+        model = make_model(arch, d=4, k=3, hidden=2, prior_hidden=2)
+        calls = {"forward": 0, "vjp": 0, "conjugate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(model, "forward", counted("forward", model.forward))
+        monkeypatch.setattr(model, "vjp", counted("vjp", model.vjp))
+        monkeypatch.setattr(losses, "conjugate", counted("conjugate", losses.conjugate))
+        batch_gradient(model, model.init_params(0), GiniBinary(1.0, 3), "gfy", ds.X, ds.Y, 0.0, SolverConfig(max_iters=50))
+        assert calls == {"forward": 1, "vjp": 1, "conjugate": 6}
 
 
 class TestHyperparamSearch:
