@@ -205,14 +205,18 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
-def _write_csv(path, config_hash: str, seed: int, columns, lines) -> None:
-    """The provenance header line, then ``columns`` and each of ``lines`` comma-joined; an unwritable path exits 2."""
+def _write(path, write) -> None:
+    """``write(path)``; an unwritable path exits 2, naming it."""
     try:
-        with open(path, "w") as fh:
-            fh.write(f"# config={config_hash} seed={seed}\n")
-            fh.writelines(",".join(map(str, line)) + "\n" for line in [columns, *lines])
+        write(path)
     except OSError as exc:
         raise ContractViolation(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write_csv(path, config_hash: str, seed: int, columns, lines) -> None:
+    """The provenance header line, then ``columns`` and each of ``lines`` comma-joined; an unwritable path exits 2."""
+    text = f"# config={config_hash} seed={seed}\n" + "".join(",".join(map(str, line)) + "\n" for line in [columns, *lines])
+    _write(path, lambda p: Path(p).write_text(text))
 
 
 def _load_dataset(block: dict, seed: int) -> MultilabelDataset:
@@ -265,7 +269,7 @@ def cmd_train(
     accs = [_fmt(acc) for acc in report.dev_accuracy] or [""] * len(report.train_loss)
     lines = [(i, _fmt(loss), acc) for i, (loss, acc) in enumerate(zip(report.train_loss, accs), start=1)]
     _write_csv(out / "metrics.csv", config_hash, seed, ("epoch", "train_loss", "dev_accuracy"), lines)
-    save_params(out / "params.bin", net, report.params, seed=seed)
+    _write(out / "params.bin", lambda path: save_params(path, net, report.params, seed=seed))
     summary = {
         "config_hash": config_hash,
         "seed": seed,
@@ -276,9 +280,7 @@ def cmd_train(
         summary["final_dev_accuracy"] = report.dev_accuracy[-1]
     if test_ds is not None:
         summary["test_accuracy"] = evaluate_accuracy(net, report.params, reg, test_ds, tcfg.solver)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(out / "summary.json", lambda path: path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n"))
     print(f"trained {net.architecture} model: final loss {_fmt(report.train_loss[-1])}")
     if "test_accuracy" in summary:
         print(f"test accuracy {_fmt(summary['test_accuracy'])}")

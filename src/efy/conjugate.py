@@ -14,6 +14,15 @@ cheapest faithful solver:
 Results carry the argmax, the envelope gradient ``grad_v Phi(v, p*)`` (no
 differentiation through the argmax), and a status describing how the solve
 terminated. Nonconcave energies report ``local_only``.
+
+Rows are the batch axis: a batched energy input (a leading ``B`` axis on
+every leaf) is solved in one call. Closed forms and the SPD solve act on the
+whole batch; coordinate ascent checks the batch in one pass and then sweeps
+each row as it would alone; projected ascent solves the rows one by one. The
+result holds one value and argmax per row but three scalars for the batch:
+the status of its least exact row (``max_iters`` > ``stalled`` >
+``local_only`` > ``converged`` > ``closed_form``), the largest iteration
+count and the largest gap.
 """
 from __future__ import annotations
 
@@ -32,7 +41,7 @@ from .exceptions import (
     SingularMatrixError,
     UnsupportedOperation,
 )
-from .numerics import as_mat, as_vec, assert_finite, is_negative_semidefinite, rng_from_seed, solve_spd
+from .numerics import as_rows, assert_finite, is_negative_semidefinite, rng_from_seed, row, row_values, solve_spd
 from .regularizers import GiniBinary, Regularizer, SquaredL2
 
 MAX_LINE_SEARCH_SHRINKS = 50
@@ -41,6 +50,8 @@ OBJECTIVE_CAP = 1e14
 # shrunk by, and the constant c of the sufficient-increase test.
 LINE_SEARCH_SHRINK = 0.5
 SUFFICIENT_INCREASE = 1e-4
+# Solve statuses from most to least exact; a batch reports its last one present.
+STATUS_ORDER = ("closed_form", "converged", "local_only", "stalled", "max_iters")
 
 
 @dataclass(frozen=True)
@@ -62,12 +73,28 @@ class SolverConfig:
 
 @dataclass
 class ConjugateResult:
-    value: float
+    """One solve, or a batch of them: ``value`` is then ``(B,)`` and ``argmax`` ``(B, k)``."""
+
+    value: float | np.ndarray
     argmax: np.ndarray
     envelope_grad: object  # shaped like the energy input
-    status: str  # closed_form | converged | max_iters | local_only | stalled
-    iters: int = 0
-    gap: float = 0.0
+    status: str  # closed_form | converged | local_only | stalled | max_iters; a batch's least exact
+    iters: int = 0  # a batch's largest
+    gap: float = 0.0  # a batch's largest
+
+
+def batch_status(statuses: Iterable[str]) -> str:
+    """The least exact of the rows' statuses, in the order of ``STATUS_ORDER``."""
+    return max(statuses, key=STATUS_ORDER.index)
+
+
+def _per_batch(solves: list, k: int) -> tuple[np.ndarray, str, int, float]:
+    # (p, status, iters, gap) of each row -> the argmax matrix and the batch's scalars;
+    # an empty batch has converged with no iterations
+    if not solves:
+        return np.empty((0, k)), "converged", 0, 0.0
+    P, statuses, iters, gaps = zip(*solves)
+    return np.array(P), batch_status(statuses), max(iters), max(gaps)
 
 
 def projected_gradient_ascent(
@@ -126,31 +153,47 @@ def coordinate_ascent_box_quadratic(
     where ``s_j`` is the off-diagonal coupling at the current iterate. Requires
     NSD U (symmetric part) so every denominator stays positive. Terminates when
     the largest coordinate move in a sweep is at most ``cfg.tol``.
+
+    A batch ``u`` (B, k), ``U`` (B, k, k) is checked once (one symmetrization,
+    one batched NSD test) and then swept row by row, each row exactly as it
+    would be alone; it returns the ``(B, k)`` argmax with the batch's status,
+    largest sweep count and largest final move.
     """
     cfg = cfg or SolverConfig()
-    u = as_vec(u, "unary scores")
-    U = as_mat(U, "coupling matrix")
+    u = as_rows(u, "unary scores")
+    U = np.asarray(U, dtype=float)
     if gamma <= 0:
         raise ContractViolation("coordinate ascent needs gamma > 0")
-    if U.shape != (u.size, u.size):
+    if U.shape != u.shape + u.shape[-1:]:
         raise ContractViolation("coupling matrix shape must match the unary scores")
-    Us = 0.5 * (U + U.T)
+    Us = 0.5 * (U + U.swapaxes(-1, -2))
     try:
         nsd = is_negative_semidefinite(Us)
     except np.linalg.LinAlgError as exc:  # a non-finite coupling
         raise EvaluationError(f"coupling eigenvalues did not converge: {exc}") from exc
-    if not nsd:
+    if not nsd.all():
         raise ContractViolation("coordinate ascent requires a negative semidefinite coupling")
+    if u.ndim == 1:
+        return _sweeps(u, Us, gamma, cfg, trace)
+    return _per_batch([_sweeps(u[i], Us[i], gamma, cfg, trace) for i in range(len(u))], u.shape[-1])
+
+
+def _sweeps(u: np.ndarray, Us: np.ndarray, gamma: float, cfg: SolverConfig, trace: list | None):
+    # coordinate ascent on one row, from the center of the box; the scalar
+    # arithmetic runs on Python floats (q mirrors p), which is faster than on
+    # numpy scalars and rounds the same
     k = u.size
     p = np.full(k, 0.5)
+    q, us, diag = p.tolist(), u.tolist(), Us.diagonal().tolist()
+    denom = (2.0 * gamma - Us.diagonal()).tolist()
     moved = math.inf
     for sweep in range(1, cfg.max_iters + 1):
         moved = 0.0
         for j in range(k):
-            s = float(Us[j] @ p) - Us[j, j] * p[j]
-            new = min(1.0, max(0.0, (u[j] + s + gamma) / (2.0 * gamma - Us[j, j])))
-            moved = max(moved, abs(new - p[j]))
-            p[j] = new
+            s = float(Us[j] @ p) - diag[j] * q[j]
+            new = min(1.0, max(0.0, (us[j] + s + gamma) / denom[j]))
+            moved = max(moved, abs(new - q[j]))
+            p[j] = q[j] = new
         if trace is not None:
             obj = float(u @ p) + 0.5 * float(p @ (Us @ p)) - gamma * float(np.sum(p * p - p))
             trace.append((sweep, obj, moved))
@@ -159,12 +202,13 @@ def coordinate_ascent_box_quadratic(
     return p, "max_iters", cfg.max_iters, moved
 
 
-def _finish(energy: Energy, v, p: np.ndarray, value: float, status: str, iters: int, gap: float) -> ConjugateResult:
+def _finish(energy: Energy, v, p: np.ndarray, value, status: str, iters: int, gap: float) -> ConjugateResult:
     assert_finite(p, "conjugate argmax")
-    if not math.isfinite(value):
-        raise EvaluationError(f"conjugate value is {value}")
+    values = np.ravel(value)
+    if not np.isfinite(values).all():
+        raise EvaluationError(f"conjugate value is {values[~np.isfinite(values)][0]}")
     return ConjugateResult(
-        value=float(value),
+        value=row_values(value),
         argmax=p,
         envelope_grad=energy.grad_v(v, p),
         status=status,
@@ -191,10 +235,11 @@ def conjugate(
     trace: list | None = None,
     p0: np.ndarray | None = None,
 ) -> ConjugateResult:
-    """Compute ``Omega^Phi(v)`` with the argmax and envelope gradient.
+    """Compute ``Omega^Phi(v)`` with the argmax and envelope gradient, for one input or a batch.
 
-    ``p0`` warm-starts the projected-ascent path only; closed forms and
-    coordinate ascent ignore it (their solutions do not depend on the start).
+    ``p0`` (one start per row for a batch) warm-starts the projected-ascent
+    path only; closed forms and coordinate ascent ignore it (their solutions
+    do not depend on the start).
     """
     cfg = cfg or SolverConfig()
     if reg.domain.dim != energy.k:
@@ -212,8 +257,8 @@ def conjugate(
     elif energy.p_structure == "quadratic_concave":
         A, b = energy.quadratic(v)
         if isinstance(reg, SquaredL2) and reg.domain.kind == "reals":
-            A = as_mat(A)
-            M = reg.gamma * np.eye(energy.k) - 0.5 * (A + A.T)
+            A = np.asarray(A, dtype=float)
+            M = reg.gamma * np.eye(energy.k) - 0.5 * (A + A.swapaxes(-1, -2))
             try:
                 p = solve_spd(M, b)
             except SingularMatrixError as exc:
@@ -221,7 +266,7 @@ def conjugate(
                     f"gamma * I - A must be positive definite for this pair "
                     f"(gamma = {reg.gamma}): {exc}"
                 ) from exc
-            value = 0.5 * float(b @ p)
+            value = 0.5 * np.vecdot(b, p)
             if trace is not None:
                 trace.append((0, value, 0.0))
             return _finish(energy, v, p, value, "closed_form", 0, 0.0)
@@ -230,11 +275,21 @@ def conjugate(
             value = energy.value(v, p) - reg.value(p)
             return _finish(energy, v, p, value, status, iters, gap)
 
+    n = energy.rows(v)
+    if n is None:
+        p, status, iters, gap = _pga_row(energy, reg, v, cfg, p0, trace)
+    else:
+        solves = [_pga_row(energy, reg, row(v, i), cfg, None if p0 is None else p0[i], trace) for i in range(n)]
+        p, status, iters, gap = _per_batch(solves, energy.k)
+    return _finish(energy, v, p, energy.value(v, p) - reg.value(p), status, iters, gap)
+
+
+def _pga_row(energy: Energy, reg: Regularizer, v, cfg: SolverConfig, p0, trace: list | None):
     value_fn, grad_fn = _pga_objective(energy, reg, v)
     p, status, iters, gap = projected_gradient_ascent(value_fn, grad_fn, reg.domain, cfg, p0=p0, trace=trace)
     if status == "converged" and energy.p_structure == "nonconcave":
         status = "local_only"
-    return _finish(energy, v, p, value_fn(p), status, iters, gap)
+    return p, status, iters, gap
 
 
 def conjugate_with_restarts(

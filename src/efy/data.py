@@ -212,12 +212,11 @@ def planted_pairwise(
     X = rng.standard_normal((n, d))
     W = rng.standard_normal((k, d)) / math.sqrt(d)
     A = coupling * rng.standard_normal((k, d)) / math.sqrt(d)
-    cfg = SolverConfig(tol=1e-10)
-    P = np.empty((n, k))
-    for i in range(n):
-        u = unary_scale * (W @ X[i])
-        a = A @ X[i]
-        P[i] = coordinate_ascent_box_quadratic(u, -np.outer(a, a), gamma, cfg)[0]
+    # one coordinate-ascent call solves all n rows
+    a = np.matvec(A, X)
+    P = coordinate_ascent_box_quadratic(
+        unary_scale * np.matvec(W, X), -(a[:, :, None] * a[:, None, :]), gamma, SolverConfig(tol=1e-10)
+    )[0]
     Y = (rng.uniform(size=(n, k)) < P).astype(float)
     ds = MultilabelDataset(X, Y)
     if return_truth:

@@ -17,6 +17,13 @@ picks its exact solve:
 * "linear": ``linear_score(v) -> s`` with ``Phi = <s, p>``;
 * "quadratic_concave": ``quadratic(v) -> (A, b)`` with
   ``Phi = 0.5 <p, A p> + <b, p>`` (only the symmetric part of ``A`` acts).
+
+Rows are the batch axis: a batched input has a leading ``B`` axis on every
+leaf (as :class:`~efy.models.Model` ``forward`` makes it), outputs are then
+``(B, k)``, and ``value``, ``grad_p`` and ``grad_v`` answer row by row with a
+``(B,)`` value and batched gradients. ``rows`` tells a batch from a single
+input. The bilinear, linear-quadratic, pairwise, rectifier and spen energies
+take batches; maxout and lse_net take one row at a time.
 """
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ import numpy as np
 from scipy.special import expit
 
 from .exceptions import ContractViolation
-from .numerics import as_mat, as_vec, flatten, rebuild, rng_from_seed, unflatten, walk
+from .numerics import as_mat, as_rows, as_vec, flatten, rebuild, rng_from_seed, unflatten, walk
 from .regularizers import lse, softmax
 
 
@@ -38,6 +45,11 @@ def relu(z: np.ndarray) -> np.ndarray:
 def softplus(z: np.ndarray) -> np.ndarray:
     # log(1 + exp(z)) without overflow.
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.outer of each row pair
+    return a[..., :, None] * b[..., None, :]
 
 
 class _FieldArithmetic:
@@ -104,19 +116,24 @@ class Energy:
         self.k = k
 
     def check_output(self, p) -> np.ndarray:
-        p = as_vec(p, "output point")
-        if p.size != self.k:
-            raise ContractViolation(f"output has {p.size} coordinates, energy expects {self.k}")
+        p = as_rows(p, "output point")
+        if p.shape[-1] != self.k:
+            raise ContractViolation(f"output has {p.shape[-1]} coordinates, energy expects {self.k}")
         return p
 
-    def value(self, v, p) -> float:
+    def rows(self, v) -> int | None:
+        """The number of rows of a batched input; None for a single one."""
+        (_, leaf), (_, like) = next(walk(v)), next(walk(self._input_like))
+        return np.shape(leaf)[0] if np.ndim(leaf) > np.ndim(like) else None
+
+    def value(self, v, p):
         """``Phi(v, p)``, derived from the declared form of ``p_structure``."""
         p = self.check_output(p)
         if self.p_structure == "linear":
-            return float(self.linear_score(v) @ p)
+            return np.vecdot(self.linear_score(v), p)
         if self.p_structure == "quadratic_concave":
             A, b = self.quadratic(v)
-            return float(b @ p) + 0.5 * float(p @ (A @ p))
+            return np.vecdot(b, p) + 0.5 * np.vecdot(p, np.matvec(A, p))
         raise NotImplementedError
 
     def grad_p(self, v, p) -> np.ndarray:
@@ -124,7 +141,7 @@ class Energy:
             return self.linear_score(v)
         if self.p_structure == "quadratic_concave":
             A, b = self.quadratic(v)
-            return b + 0.5 * (A + A.T) @ as_vec(p)
+            return b + np.matvec(0.5 * (A + A.swapaxes(-1, -2)), as_rows(p))
         raise NotImplementedError
 
     def grad_v(self, v, p):
@@ -161,11 +178,11 @@ class BilinearEnergy(Energy):
         self.d = U.shape[0]
 
     def grad_v(self, v, p):
-        return self.U @ as_vec(p)
+        return np.matvec(self.U, as_rows(p))
 
     def linear_score(self, v) -> np.ndarray:
         # Phi(v, p) = <score(v), p>
-        return self.U.T @ as_vec(v)
+        return np.matvec(self.U.T, as_rows(v))
 
 
 class LinearQuadraticEnergy(Energy):
@@ -183,8 +200,8 @@ class LinearQuadraticEnergy(Energy):
         return v.A, v.b
 
     def grad_v(self, v, p):
-        p = as_vec(p)
-        return LinQuadInput(A=0.5 * np.outer(p, p), b=p.copy())
+        p = as_rows(p)
+        return LinQuadInput(A=0.5 * _outer(p, p), b=p.copy())
 
     def random_input(self, rng, scale=1.0, nsd=True):
         g = rng.standard_normal((self.k, self.k))
@@ -215,8 +232,8 @@ class PairwiseEnergy(Energy):
         return v.U, v.u
 
     def grad_v(self, v, p):
-        p = as_vec(p)
-        return PairwiseInput(u=p.copy(), U=0.5 * np.outer(p, p))
+        p = as_rows(p)
+        return PairwiseInput(u=p.copy(), U=0.5 * _outer(p, p))
 
     def random_input(self, rng, scale=1.0):
         g = rng.standard_normal((self.k, self.k))
@@ -246,11 +263,10 @@ class RectifierEnergy(Energy):
         self.d = U.shape[0]
 
     def grad_v(self, v, p):
-        v = as_vec(v)
-        return np.where(v > 0.0, self.U @ as_vec(p), 0.0)
+        return np.where(as_rows(v) > 0.0, np.matvec(self.U, as_rows(p)), 0.0)
 
     def linear_score(self, v):
-        return self.U.T @ relu(as_vec(v))
+        return np.matvec(self.U.T, relu(as_rows(v)))
 
 
 class MaxoutEnergy(Energy):
@@ -319,30 +335,31 @@ class SpenEnergy(Energy):
     def _effective_w2(self, w: PriorWeights) -> np.ndarray:
         return softplus(w.W2) if self.concave else w.W2
 
-    def prior_value(self, w: PriorWeights, p) -> float:
-        h = relu(w.W1 @ as_vec(p) + w.b1)
-        return float(self._effective_w2(w) @ h) + float(w.b2)
+    def prior_value(self, w: PriorWeights, p):
+        h = relu(np.matvec(w.W1, as_rows(p)) + w.b1)
+        return np.vecdot(self._effective_w2(w), h) + w.b2
 
     def value(self, v, p):
-        return float(v.u @ self.check_output(p)) - self.prior_value(v.w, p)
+        return np.vecdot(v.u, self.check_output(p)) - self.prior_value(v.w, p)
 
     def grad_p(self, v, p):
         w = v.w
-        z = w.W1 @ as_vec(p) + w.b1
+        z = np.matvec(w.W1, as_rows(p)) + w.b1
         active = (z > 0.0).astype(float)
-        return v.u - w.W1.T @ (self._effective_w2(w) * active)
+        return v.u - np.vecmat(self._effective_w2(w) * active, w.W1)
 
     def grad_v(self, v, p):
-        p = as_vec(p)
+        p = as_rows(p)
         w = v.w
-        z = w.W1 @ p + w.b1
+        z = np.matvec(w.W1, p) + w.b1
         h = relu(z)
         w2_eff = self._effective_w2(w)
         back = w2_eff * (z > 0.0)
-        gW1 = -np.outer(back, p)
+        gW1 = -_outer(back, p)
         gb1 = -back
         gW2 = -h * expit(w.W2) if self.concave else -h
-        gb2 = -1.0
+        # a float for one row, as the input's own b2 is
+        gb2 = -1.0 if p.ndim == 1 else np.full(len(p), -1.0)
         return SpenInput(u=p.copy(), w=PriorWeights(W1=gW1, b1=gb1, W2=gW2, b2=gb2))
 
     def random_input(self, rng, scale=1.0):

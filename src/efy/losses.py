@@ -11,6 +11,13 @@ argmax: by the envelope theorem it is ``grad_v Phi(v, p*) - grad_v Phi(v, y)``.
 Also here: the unregularized (perceptron) and plain energy baselines, a
 linearization upper bound, the reverse construction (biconjugate), and the
 induced Bregman-style divergence between outputs.
+
+Rows are the batch axis of the four training losses: with a batched input
+``v`` and targets ``y`` (B, k), one call returns a ``(B,)`` value, the
+batched gradient and one batched conjugate solve (see
+:mod:`~efy.conjugate` for its status, the batch's least exact). A single
+row is the ``B = 1`` case. ``xent_loss`` differentiates each row by finite
+differences on its own.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ import numpy as np
 from .conjugate import ConjugateResult, SolverConfig, conjugate
 from .energies import BilinearEnergy, Energy
 from .exceptions import ContractViolation
-from .numerics import as_vec, assert_finite, finite_diff_grad
+from .numerics import as_rows, as_vec, assert_finite, finite_diff_grad, row, row_values, stack
 from .regularizers import Indicator, OutputSet, Regularizer
 
 XENT_CLIP = 1e-6
@@ -30,9 +37,9 @@ XENT_CLIP = 1e-6
 
 @dataclass
 class LossEval:
-    """Loss value, input-shaped gradient, and the inner solve (if any)."""
+    """Loss value, input-shaped gradient, and the inner solve (if any); ``value`` is ``(B,)`` for a batch."""
 
-    value: float
+    value: float | np.ndarray
     grad_v: object
     conjugate: ConjugateResult | None = None
 
@@ -47,15 +54,15 @@ def fy_loss(reg: Regularizer, u, y) -> float:
 
 
 def gfy_loss(energy: Energy, reg: Regularizer, v, y, cfg: SolverConfig | None = None) -> LossEval:
-    """Generalized Fenchel-Young loss with its envelope gradient."""
-    y = as_vec(y)
-    if not reg.domain.contains(y):
+    """Generalized Fenchel-Young loss with its envelope gradient, of one row or of each row of a batch."""
+    y = as_rows(y)
+    if not reg.domain.contains(y).all():
         raise ContractViolation("target lies outside the regularizer domain")
     res = conjugate(energy, reg, v, cfg)
     value = res.value + reg.value(y) - energy.value(v, y)
     grad = res.envelope_grad - energy.grad_v(v, y)
     assert_finite(value, "loss value")
-    return LossEval(value=float(value), grad_v=grad, conjugate=res)
+    return LossEval(value=row_values(value), grad_v=grad, conjugate=res)
 
 
 def perceptron_loss(energy: Energy, domain: OutputSet, v, y, cfg: SolverConfig | None = None) -> LossEval:
@@ -65,8 +72,8 @@ def perceptron_loss(energy: Energy, domain: OutputSet, v, y, cfg: SolverConfig |
 
 def energy_loss(energy: Energy, v, y) -> LossEval:
     """Plain negated energy ``-Phi(v, y)`` (no contrastive term)."""
-    y = as_vec(y)
-    return LossEval(value=-energy.value(v, y), grad_v=-1.0 * energy.grad_v(v, y), conjugate=None)
+    y = as_rows(y)
+    return LossEval(value=row_values(-energy.value(v, y)), grad_v=-1.0 * energy.grad_v(v, y), conjugate=None)
 
 
 def input_grad_finite_diff(energy: Energy, v, fn: Callable):
@@ -94,9 +101,13 @@ def xent_loss(
     through the argmax, which we replace by central finite differences over
     the flattened input. Cost scales with the input dimension; intended for
     small problems only. Predictions are clipped to ``[XENT_CLIP, 1 - XENT_CLIP]``
-    so exactly sparse argmaxes keep the log finite.
+    so exactly sparse argmaxes keep the log finite. A batch is differentiated
+    row by row.
     """
-    y = as_vec(y)
+    y = as_rows(y)
+    if y.ndim == 2:
+        per_row = [xent_loss(energy, reg, row(v, i), y[i], cfg) for i in range(len(y))]
+        return LossEval(value=np.array([le.value for le in per_row]), grad_v=stack([le.grad_v for le in per_row]))
 
     def value_of(vv) -> float:
         p = conjugate(energy, reg, vv, cfg).argmax

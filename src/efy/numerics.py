@@ -2,7 +2,10 @@
 and the flatten/unflatten and batch axis of structured values.
 
 Everything here is deterministic. Matrices are dense ``float64`` arrays;
-no sparse formats are supported.
+no sparse formats are supported. Rows are the batch axis: ``as_rows``,
+``as_sym_mat``, ``is_negative_semidefinite`` and ``solve_spd`` take one
+vector ``(k,)`` or matrix ``(k, k)``, or a batch of them with a leading ``B``
+axis, and answer row by row.
 """
 from __future__ import annotations
 
@@ -35,6 +38,19 @@ def as_vec(x, name: str = "vector") -> np.ndarray:
     return v
 
 
+def as_rows(x, name: str = "vector") -> np.ndarray:
+    """One vector ``(k,)`` or a batch of them ``(B, k)``, as floats."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2):
+        raise ContractViolation(f"{name} must be 1-D, or 2-D for a batch of rows, got shape {v.shape}")
+    return v
+
+
+def row_values(x):
+    """A single row's value as a float; a batch's ``(B,)`` values as they are."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def as_mat(x, name: str = "matrix") -> np.ndarray:
     m = np.asarray(x, dtype=float)
     if m.ndim != 2:
@@ -43,19 +59,24 @@ def as_mat(x, name: str = "matrix") -> np.ndarray:
 
 
 def as_sym_mat(x, name: str = "matrix") -> np.ndarray:
-    m = as_mat(x, name)
-    if m.shape[0] != m.shape[1]:
+    """A symmetric matrix ``(k, k)``, or a batch of them ``(B, k, k)``."""
+    m = np.asarray(x, dtype=float)
+    if m.ndim not in (2, 3):
+        raise ContractViolation(f"{name} must be 2-D, or 3-D for a batch, got shape {m.shape}")
+    if m.shape[-1] != m.shape[-2]:
         raise ContractViolation(f"{name} must be square, got shape {m.shape}")
-    skew = np.abs(m - m.T).max() if m.size else 0.0
-    # exactly symmetric input, the common case, skips the scale reduction
-    if skew > 0.0 and skew > SYMMETRY_TOL * max(1.0, float(np.abs(m).max())):
-        raise ContractViolation(f"{name} is not symmetric (max |M - M^T| = {skew:.3e})")
+    # exactly symmetric input, the common case, skips the per-matrix reductions
+    if m.size and not (m == m.swapaxes(-1, -2)).all():
+        skew = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
+        bad = skew > SYMMETRY_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        if bad.any():
+            raise ContractViolation(f"{name} is not symmetric (max |M - M^T| = {skew[bad].max():.3e})")
     return m
 
 
 def assert_finite(x, what: str = "result"):
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise EvaluationError(f"{what} contains non-finite entries")
     return x
 
@@ -91,48 +112,51 @@ def rel_err(approx, reference) -> float:
     return float(np.max(np.abs(a - b))) / denom if a.size else 0.0
 
 
-def is_negative_semidefinite(m) -> bool:
+def is_negative_semidefinite(m):
     """True when the largest eigenvalue of symmetric ``m`` is <= ``NSD_EIG_TOL * max(1, max|m|)``.
 
     The tolerance is relative because the rounding error of the eigenvalues
-    grows with the scale of the matrix.
+    grows with the scale of the matrix. A batch ``(B, k, k)`` is tested in
+    one ``eigvalsh`` call, each matrix against its own scale, and gives one
+    verdict per matrix.
     """
     m = as_sym_mat(m)
     if m.size == 0:
-        return True
-    scale = max(1.0, float(np.abs(m).max()))
-    return bool(np.linalg.eigvalsh(m)[-1] <= NSD_EIG_TOL * scale)
+        return np.ones(m.shape[:-2], dtype=bool)[()]
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    return np.linalg.eigvalsh(m)[..., -1] <= NSD_EIG_TOL * scale
 
 
 def solve_spd(m, b) -> np.ndarray:
     """Solve ``m x = b`` for symmetric positive definite ``m``.
 
     Uses a square-root-free LDL^T factorization so systems with dyadic
-    rational entries solve exactly. Raises :class:`SingularMatrixError`
-    naming the first non-positive pivot.
+    rational entries solve exactly. A batch ``m`` (B, k, k), ``b`` (B, k)
+    factors all B systems in one pass over the columns. Raises
+    :class:`SingularMatrixError` naming the first non-positive pivot (of the
+    first system that has one).
     """
     a = as_sym_mat(m, "SPD matrix")
-    b = as_vec(b, "right-hand side")
-    k = a.shape[0]
-    if b.size != k:
-        raise ContractViolation(
-            f"dimension mismatch: matrix is {k}x{k}, rhs has {b.size}"
-        )
-    lower = np.eye(k)
-    diag = np.zeros(k)
+    b = as_rows(b, "right-hand side")
+    if b.shape != a.shape[:-1]:
+        raise ContractViolation(f"dimension mismatch: matrix is {a.shape}, rhs has {b.shape}")
+    k = a.shape[-1]
+    lower = np.broadcast_to(np.eye(k), a.shape).copy()
+    diag = np.zeros(b.shape)
     for j in range(k):
-        pivot = a[j, j] - (lower[j, :j] * lower[j, :j]) @ diag[:j]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise SingularMatrixError(j, float(pivot))
-        diag[j] = pivot
+        pivot = a[..., j, j] - np.vecdot(lower[..., j, :j] * lower[..., j, :j], diag[..., :j])
+        bad = np.flatnonzero(~(np.isfinite(pivot) & (pivot > 0.0)))
+        if bad.size:
+            raise SingularMatrixError(j, float(np.ravel(pivot)[bad[0]]))
+        diag[..., j] = pivot
         if j + 1 < k:
-            lower[j + 1 :, j] = (
-                a[j + 1 :, j] - lower[j + 1 :, :j] @ (diag[:j] * lower[j, :j])
-            ) / pivot
+            lower[..., j + 1 :, j] = (
+                a[..., j + 1 :, j] - np.matvec(lower[..., j + 1 :, :j], diag[..., :j] * lower[..., j, :j])
+            ) / pivot[..., None]
     # an overflow inside the solve surfaces as the non-finite result below
-    y = solve_triangular(lower, b, lower=True, unit_diagonal=True, check_finite=False)
-    x = solve_triangular(lower.T, y / diag, lower=False, unit_diagonal=True, check_finite=False)
-    return assert_finite(x, "solve_spd result")
+    y = solve_triangular(lower, b[..., None], lower=True, unit_diagonal=True, check_finite=False)
+    x = solve_triangular(lower.swapaxes(-1, -2), y / diag[..., None], lower=False, unit_diagonal=True, check_finite=False)
+    return assert_finite(x[..., 0], "solve_spd result")
 
 
 @lru_cache(maxsize=None)
@@ -174,8 +198,9 @@ def rebuild(like, leaves: Iterator):
     return type(like)(*[rebuild(getattr(like, name), leaves) for name in names])
 
 
-# row and stack recurse on the field names directly: both run once per sample,
-# where walk's generators cost more than the indexing they would drive.
+# row and stack recurse on the field names directly: both run once per row
+# of a projected-ascent batch, where walk's generators cost more than the
+# indexing they would drive.
 def row(tree, i: int):
     """Row ``i`` of a batched tree: each leaf indexed on its leading axis."""
     names = _field_names(type(tree))

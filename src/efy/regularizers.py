@@ -5,6 +5,12 @@ known strong-convexity constant (w.r.t. the Euclidean norm). Kinds with a
 closed-form argmax map expose ``argmax_map(u) = argmax_{p in C} <u, p> - Omega(p)``,
 which is the workhorse for conjugates of energies that are linear in ``p``.
 
+Rows are the batch axis: ``OutputSet.contains`` and ``project``, and a
+regularizer's ``value``, ``argmax_map`` and ``conjugate_value``, take one
+point ``(k,)`` or a batch ``(B, k)`` and answer row by row (a scalar per row
+becomes a ``(B,)`` array). ``grad`` stays single-row: only projected ascent
+needs it, and that solves one row at a time.
+
 Conventions: ``0 log 0 = 0``, so entropies are finite on the whole closed
 domain, while their gradients blow up at the boundary and raise
 :class:`DomainBoundaryError` there.
@@ -24,43 +30,43 @@ from .exceptions import (
     EvaluationError,
     UnsupportedOperation,
 )
-from .numerics import as_vec
+from .numerics import as_rows, as_vec
 
 MEMBERSHIP_TOL = 1e-9
 
 
-def lse(u, gamma: float = 1.0) -> float:
-    """Temperature log-sum-exp ``gamma * log(sum_i exp(u_i / gamma))``.
+def lse(u, gamma: float = 1.0):
+    """Temperature log-sum-exp ``gamma * log(sum_i exp(u_i / gamma))`` of each row.
 
     Computed with a max shift so that it never overflows; converges to
     ``max(u)`` as ``gamma -> 0``.
     """
-    u = as_vec(u)
+    u = as_rows(u)
     if gamma <= 0:
         raise ContractViolation(f"lse temperature must be positive, got {gamma}")
-    m = float(np.max(u))
-    return m + gamma * math.log(float(np.sum(np.exp((u - m) / gamma))))
+    m = np.max(u, axis=-1, keepdims=True)
+    return m[..., 0] + gamma * np.log(np.sum(np.exp((u - m) / gamma), axis=-1))
 
 
 def softmax(u, gamma: float = 1.0) -> np.ndarray:
-    """Gradient of :func:`lse`; a point on the interior of the simplex."""
-    u = as_vec(u)
+    """Gradient of :func:`lse`; a point on the interior of the simplex per row."""
+    u = as_rows(u)
     if gamma <= 0:
         raise ContractViolation(f"softmax temperature must be positive, got {gamma}")
-    z = np.exp((u - np.max(u)) / gamma)
-    return z / np.sum(z)
+    z = np.exp((u - np.max(u, axis=-1, keepdims=True)) / gamma)
+    return z / np.sum(z, axis=-1, keepdims=True)
 
 
 def _project_simplex(z: np.ndarray) -> np.ndarray:
-    # Euclidean projection onto the probability simplex (sort-based).
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, z.size + 1)
-    cond = u - css / idx > 0
-    if not cond.any():  # only a non-finite point leaves no breakpoint
+    # Euclidean projection of each row onto the probability simplex (sort-based):
+    # theta comes from the last breakpoint rho where u_rho > (sum_{i<=rho} u_i - 1) / rho.
+    u = np.flip(np.sort(z, axis=-1), axis=-1)
+    css = np.cumsum(u, axis=-1) - 1.0
+    cond = u - css / np.arange(1, z.shape[-1] + 1) > 0
+    if not np.all(np.any(cond, axis=-1)):  # only a non-finite point leaves no breakpoint
         raise EvaluationError("cannot project a non-finite point onto the simplex")
-    rho = int(idx[cond][-1])
-    theta = css[cond][-1] / rho
+    last = z.shape[-1] - 1 - np.argmax(np.flip(cond, axis=-1), axis=-1)
+    theta = np.take_along_axis(css, last[..., None], axis=-1) / (last[..., None] + 1)
     return np.maximum(z - theta, 0.0)
 
 
@@ -73,23 +79,24 @@ class OutputSet:
     lo: np.ndarray | None = field(default=None, repr=False)
     hi: np.ndarray | None = field(default=None, repr=False)
 
-    def contains(self, p, tol: float = MEMBERSHIP_TOL) -> bool:
-        p = as_vec(p)
-        if p.size != self.dim:
-            return False
+    def contains(self, p, tol: float = MEMBERSHIP_TOL):
+        """Membership of a point (a bool), or of each row of a batch (a ``(B,)`` bool array)."""
+        p = as_rows(p)
+        if p.shape[-1] != self.dim:
+            return np.zeros(p.shape[:-1], dtype=bool)[()]
         if self.kind == "reals":
-            return bool(np.all(np.isfinite(p)))
+            return np.isfinite(p).all(axis=-1)
         if self.kind == "box":
-            return bool(np.all(p >= self.lo - tol) and np.all(p <= self.hi + tol))
+            return ((p >= self.lo - tol) & (p <= self.hi + tol)).all(axis=-1)
         if self.kind == "simplex":
-            return bool(np.all(p >= -tol) and abs(float(np.sum(p)) - 1.0) <= tol)
+            return (p >= -tol).all(axis=-1) & (np.abs(p.sum(axis=-1) - 1.0) <= tol)
         raise ContractViolation(f"unknown output set kind {self.kind!r}")
 
     def project(self, p) -> np.ndarray:
-        """Euclidean projection onto the set."""
-        p = as_vec(p)
-        if p.size != self.dim:
-            raise ContractViolation(f"point has dim {p.size}, set has dim {self.dim}")
+        """Euclidean projection onto the set, row by row."""
+        p = as_rows(p)
+        if p.shape[-1] != self.dim:
+            raise ContractViolation(f"point has dim {p.shape[-1]}, set has dim {self.dim}")
         if self.kind == "reals":
             return p.copy()
         if self.kind == "box":
@@ -145,12 +152,17 @@ class Regularizer:
         self.gamma = gamma
         self.strong_convexity = strong_convexity
 
-    def value(self, p) -> float:
-        """Extended-real value; +inf outside the domain."""
-        p = as_vec(p)
-        if not self.domain.contains(p):
+    def value(self, p):
+        """Extended-real value; +inf outside the domain. A batch gives one value per row."""
+        p = as_rows(p)
+        inside = self.domain.contains(p)
+        if inside.all():
+            return self._value_inside(self._snap(p))
+        if p.ndim == 1:
             return math.inf
-        return self._value_inside(self._snap(p))
+        out = np.full(len(p), math.inf)
+        out[inside] = self._value_inside(self._snap(p[inside]))
+        return out
 
     def _snap(self, p: np.ndarray) -> np.ndarray:
         # Points within membership tolerance may sit a hair outside the exact
@@ -174,17 +186,17 @@ class Regularizer:
         raise NotImplementedError
 
     def argmax_map(self, u) -> np.ndarray:
-        """Closed-form ``argmax_{p in C} <u, p> - Omega(p)`` where available."""
+        """Closed-form ``argmax_{p in C} <u, p> - Omega(p)`` of each row, where available."""
         raise UnsupportedOperation(
             f"{self.kind} over {self.domain.kind} has no closed-form argmax map; "
             "use the iterative conjugate oracle"
         )
 
-    def conjugate_value(self, u) -> float:
-        """``max_{p in C} <u, p> - Omega(p)``, via the closed-form argmax map."""
-        u = as_vec(u)
+    def conjugate_value(self, u):
+        """``max_{p in C} <u, p> - Omega(p)`` of each row, via the closed-form argmax map."""
+        u = as_rows(u)
         p = self.argmax_map(u)
-        return float(u @ p) - self._value_inside(p)
+        return np.vecdot(u, p) - self._value_inside(p)
 
 
 class SquaredL2(Regularizer):
@@ -198,13 +210,13 @@ class SquaredL2(Regularizer):
         super().__init__(domain, gamma, strong_convexity=gamma)
 
     def _value_inside(self, p):
-        return 0.5 * self.gamma * float(p @ p)
+        return 0.5 * self.gamma * np.vecdot(p, p)
 
     def _grad_inside(self, p):
         return self.gamma * p
 
     def argmax_map(self, u):
-        u = as_vec(u)
+        u = as_rows(u)
         # argmax <u,p> - (gamma/2)||p||^2 = projection of u / gamma onto C.
         return self.domain.project(u / self.gamma)
 
@@ -224,7 +236,7 @@ class ShannonBinary(Regularizer):
         super().__init__(box01(k), gamma, strong_convexity=4.0 * gamma)
 
     def _value_inside(self, p):
-        return self.gamma * float(np.sum(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)))
+        return self.gamma * np.sum(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p), axis=-1)
 
     def _grad_inside(self, p):
         if np.any(p <= 0.0) or np.any(p >= 1.0):
@@ -232,14 +244,12 @@ class ShannonBinary(Regularizer):
         return self.gamma * (np.log(p) - np.log1p(-p))
 
     def argmax_map(self, u):
-        u = as_vec(u)
-        return expit(u / self.gamma)
+        return expit(as_rows(u) / self.gamma)
 
     def conjugate_value(self, u):
-        u = as_vec(u)
         # Per-coordinate conjugate of the bit entropy: gamma * softplus(u / gamma).
-        t = u / self.gamma
-        return self.gamma * float(np.sum(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))))
+        t = as_rows(u) / self.gamma
+        return self.gamma * np.sum(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))), axis=-1)
 
 
 class GiniBinary(Regularizer):
@@ -259,14 +269,13 @@ class GiniBinary(Regularizer):
         super().__init__(box01(k), gamma, strong_convexity=2.0 * gamma)
 
     def _value_inside(self, p):
-        return self.gamma * float(np.sum(p * p - p))
+        return self.gamma * np.sum(p * p - p, axis=-1)
 
     def _grad_inside(self, p):
         return self.gamma * (2.0 * p - 1.0)
 
     def argmax_map(self, u):
-        u = as_vec(u)
-        return np.clip((u + self.gamma) / (2.0 * self.gamma), 0.0, 1.0)
+        return np.clip((as_rows(u) + self.gamma) / (2.0 * self.gamma), 0.0, 1.0)
 
 
 class ShannonSimplex(Regularizer):
@@ -285,7 +294,7 @@ class ShannonSimplex(Regularizer):
         super().__init__(simplex(k), gamma, strong_convexity=gamma)
 
     def _value_inside(self, p):
-        return self.gamma * float(np.sum(xlogy(p, p)))
+        return self.gamma * np.sum(xlogy(p, p), axis=-1)
 
     def _grad_inside(self, p):
         if np.any(p <= 0.0):
@@ -293,7 +302,7 @@ class ShannonSimplex(Regularizer):
         return self.gamma * (np.log(p) + 1.0)
 
     def argmax_map(self, u):
-        return softmax(as_vec(u), self.gamma)
+        return softmax(u, self.gamma)
 
     def conjugate_value(self, u):
         return lse(u, self.gamma)
@@ -308,20 +317,20 @@ class Indicator(Regularizer):
         super().__init__(domain, gamma=0.0, strong_convexity=0.0)
 
     def _value_inside(self, p):
-        return 0.0
+        return np.zeros(p.shape[:-1])[()]
 
     def _grad_inside(self, p):
         return np.zeros_like(p)
 
     def argmax_map(self, u):
-        u = as_vec(u)
+        u = as_rows(u)
         if self.domain.kind == "box":
             # Linear maximization over a box: pick the favorable bound.
             return np.where(u >= 0.0, self.domain.hi, self.domain.lo).astype(float)
         if self.domain.kind == "reals":
             if np.any(u != 0.0):
                 raise DivergenceError("linear maximization over all of R^k is unbounded")
-            return np.zeros(self.domain.dim)
+            return np.zeros(u.shape)
         raise UnsupportedOperation(
             "indicator over non-box sets has no closed-form argmax map; "
             "use the iterative conjugate oracle"

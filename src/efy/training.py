@@ -7,10 +7,14 @@ The objective is the mean per-sample loss plus a ridge term,
 minimized with ADAM. Everything is deterministic given the run seed: the
 parameter init, the per-epoch shuffles, and the summation order, so reports
 for identical configs are bit-identical on the same platform.
+
+Rows are the batch axis: a minibatch, an objective evaluation or a
+prediction matrix makes one model forward, one loss or conjugate call and
+(for gradients) one vjp. The loss call's conjugate result carries the
+batch's solver status, that of its least exact row.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +26,7 @@ from .data import MultilabelDataset, split
 from .exceptions import ContractViolation, DivergenceError, EvaluationError, TrainingDivergence
 from .losses import energy_loss, gfy_loss, perceptron_loss, xent_loss
 from .models import Model
-from .numerics import rng_from_seed, row, stack
+from .numerics import rng_from_seed, row
 from .regularizers import Regularizer
 
 LOSS_KINDS = ("gfy", "perceptron", "energy", "xent")
@@ -70,16 +74,25 @@ class TrainReport:
     wall_time: float
 
 
-def sample_loss(energy, reg: Regularizer, loss_kind: str, v, y, solver: SolverConfig):
+def _loss(energy, reg: Regularizer, loss_kind: str, V, Y: np.ndarray, solver: SolverConfig):
+    # the loss_kind loss of every row of V and Y, in one call
     if loss_kind == "gfy":
-        return gfy_loss(energy, reg, v, y, solver)
+        return gfy_loss(energy, reg, V, Y, solver)
     if loss_kind == "perceptron":
-        return perceptron_loss(energy, reg.domain, v, y, solver)
+        return perceptron_loss(energy, reg.domain, V, Y, solver)
     if loss_kind == "energy":
-        return energy_loss(energy, v, y)
+        return energy_loss(energy, V, Y)
     if loss_kind == "xent":
-        return xent_loss(energy, reg, v, y, solver)
+        return xent_loss(energy, reg, V, Y, solver)
     raise ContractViolation(f"unknown loss {loss_kind!r}")
+
+
+def _row_sum(values: np.ndarray) -> float:
+    # one row after another, the order that keeps reports bit-identical
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
 
 
 def objective_value(
@@ -93,13 +106,9 @@ def objective_value(
     solver: SolverConfig,
 ) -> float:
     """Exact training objective on the given rows (reference for gradient checks)."""
-    energy = model.energy()
-    V = model.forward(params, X)
-    total = 0.0
-    for i in range(X.shape[0]):
-        total += sample_loss(energy, reg, loss_kind, row(V, i), Y[i], solver).value
+    le = _loss(model.energy(), reg, loss_kind, model.forward(params, X), Y, solver)
     theta = model.params_to_vec(params)
-    return total / X.shape[0] + 0.5 * l2_weight * float(theta @ theta)
+    return _row_sum(le.value) / X.shape[0] + 0.5 * l2_weight * float(theta @ theta)
 
 
 def batch_gradient(
@@ -115,39 +124,44 @@ def batch_gradient(
 ) -> tuple[np.ndarray, float]:
     """Mean parameter gradient and mean loss over the rows of ``X``/``Y``.
 
-    ``rows`` gives the dataset row number of each batch row (default
-    ``range(B)``); a divergence message names the failing row by it.
+    One forward, one loss call (so one conjugate call) and one vjp serve the
+    whole batch. ``rows`` gives the dataset row number of each batch row
+    (default ``range(B)``); a divergence message names the first failing row
+    by it.
     """
     rows = range(X.shape[0]) if rows is None else rows
     energy = model.energy()
     theta = model.params_to_vec(params)
     V = model.forward(params, X)
-    total = 0.0
-    grads_v = []
-    for i in range(X.shape[0]):
-        try:
-            le = sample_loss(energy, reg, loss_kind, row(V, i), Y[i], solver)
-        except (EvaluationError, DivergenceError) as exc:
-            raise TrainingDivergence(f"diverged at sample {rows[i]}: {exc}") from exc
-        if not math.isfinite(le.value):
-            raise TrainingDivergence(f"non-finite loss at sample {rows[i]}")
-        total += le.value
-        grads_v.append(le.grad_v)
-    grad = model.params_to_vec(model.vjp(params, X, stack(grads_v))) / X.shape[0]
-    total /= X.shape[0]
+    try:
+        le = _loss(energy, reg, loss_kind, V, Y, solver)
+    except (EvaluationError, DivergenceError) as exc:
+        raise _divergence(energy, reg, loss_kind, V, Y, solver, rows, exc) from exc
+    bad = np.flatnonzero(~np.isfinite(le.value))
+    if bad.size:
+        raise TrainingDivergence(f"non-finite loss at sample {rows[bad[0]]}")
+    grad = model.params_to_vec(model.vjp(params, X, le.grad_v)) / X.shape[0]
+    total = _row_sum(le.value) / X.shape[0]
     grad += l2_weight * theta
     if not np.all(np.isfinite(grad)):
         raise TrainingDivergence(f"non-finite gradient in the batch of samples {', '.join(map(str, rows))}")
     return grad, total + 0.5 * l2_weight * float(theta @ theta)
 
 
+def _divergence(energy, reg: Regularizer, loss_kind: str, V, Y: np.ndarray, solver: SolverConfig, rows, exc):
+    """The error for a failed batch: it names the first row that fails alone, with
+    that row's own error, or the whole batch if no row does."""
+    for i in range(Y.shape[0]):
+        try:
+            _loss(energy, reg, loss_kind, row(V, i), Y[i], solver)
+        except (EvaluationError, DivergenceError) as row_exc:
+            return TrainingDivergence(f"diverged at sample {rows[i]}: {row_exc}")
+    return TrainingDivergence(f"diverged in the batch of samples {', '.join(map(str, rows))}: {exc}")
+
+
 def predict_marginals(model: Model, params, reg: Regularizer, X: np.ndarray, solver: SolverConfig | None = None) -> np.ndarray:
-    energy = model.energy()
-    V = model.forward(params, X)
-    out = np.empty((X.shape[0], model.k))
-    for i in range(X.shape[0]):
-        out[i] = conjugate(energy, reg, row(V, i), solver).argmax
-    return out
+    """Regularized argmax of each row of ``X``, from one forward and one conjugate call."""
+    return conjugate(model.energy(), reg, model.forward(params, X), solver).argmax
 
 
 def evaluate_accuracy(model: Model, params, reg: Regularizer, ds: MultilabelDataset, solver: SolverConfig | None = None) -> float:

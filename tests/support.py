@@ -23,6 +23,14 @@ from efy import (
     make_regularizer,
     reals,
 )
+from efy.numerics import rel_err, walk
+
+
+def assert_trees_close(got, want, rtol=1e-12):
+    """Same leaf names, and each leaf within ``rtol`` (max-norm, unit floor) of the other's."""
+    assert [name for name, _ in walk(got)] == [name for name, _ in walk(want)]
+    for (name, a), (_, b) in zip(walk(got), walk(want)):
+        assert rel_err(a, b) <= rtol, name
 
 
 def box_grid(k: int, step: float = 1e-3) -> np.ndarray:

@@ -395,6 +395,17 @@ def test_unwritable_outputs_exit_two(tmp_path, monkeypatch, capsys, command):
     assert err.startswith("error:") and spec.get("output", spec.get("output_dir")) in err
 
 
+@pytest.mark.parametrize("name", ["params.bin", "summary.json"])
+def test_an_unwritable_train_output_file_exits_two(tmp_path, capsys, name):
+    # the directory itself is writable, so this only shows after training
+    spec = synthetic_train_config(tmp_path)
+    (tmp_path / "run" / name).mkdir(parents=True)
+    cfg = write_config(tmp_path, "c.json", spec)
+    assert main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / "run" / name) in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_empty_training_part_is_rejected_before_it_is_standardized(tmp_path, capsys):
     spec = synthetic_train_config(tmp_path)

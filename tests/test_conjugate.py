@@ -27,6 +27,8 @@ from efy import (
     rng_from_seed,
 )
 
+from efy.conjugate import batch_status
+
 from support import (
     FAMILIES,
     box_grid,
@@ -297,6 +299,36 @@ class TestCoordinateAscent:
         res = conjugate(energy, reg, pairwise_input(rng, 3), TIGHT, trace=trace)
         assert res.status == "converged"
         assert len(trace) == res.iters  # one row per sweep
+
+
+class TestBatchAxis:
+    def rows(self):
+        # row 0 is decoupled and converges at once; row 1 is strongly coupled
+        u = np.array([[0.3, -0.1, 0.2], [1.45, 1.69, 2.33]])
+        a = np.array([1.39, -1.52, 2.84])
+        U = np.stack([np.zeros((3, 3)), -np.outer(a, a)])
+        return u, U
+
+    @pytest.mark.parametrize("max_iters", [5, 10000])
+    def test_coordinate_ascent_sweeps_each_row_as_alone_and_reports_the_batch(self, max_iters):
+        u, U = self.rows()
+        cfg = SolverConfig(tol=1e-12, max_iters=max_iters)
+        singles = [coordinate_ascent_box_quadratic(u[i], U[i], 0.5, cfg) for i in range(2)]
+        p, status, sweeps, gap = coordinate_ascent_box_quadratic(u, U, 0.5, cfg)
+        for i, (p_i, _, _, _) in enumerate(singles):
+            np.testing.assert_array_equal(p[i], p_i)
+        assert singles[0][1] == "converged" and singles[0][2] < singles[1][2]
+        # one capped row caps the batch; the sweep count is the largest row's
+        assert status == singles[1][1] == ("max_iters" if max_iters == 5 else "converged")
+        assert sweeps == singles[1][2]
+        assert gap == max(s[3] for s in singles)
+
+    def test_the_batch_status_is_its_least_exact_row(self):
+        assert batch_status(["closed_form"]) == "closed_form"
+        assert batch_status(["converged", "closed_form"]) == "converged"
+        assert batch_status(["converged", "local_only", "closed_form"]) == "local_only"
+        assert batch_status(["local_only", "stalled", "converged"]) == "stalled"
+        assert batch_status(["max_iters", "stalled", "local_only"]) == "max_iters"
 
 
 class TestProjectedGradientAscent:

@@ -28,7 +28,7 @@ from efy import (
 from efy.models import ARCHITECTURES
 from efy.numerics import rel_err, row, stack, walk
 
-from support import margin_uniform, rewrite_params_header
+from support import assert_trees_close, margin_uniform, rewrite_params_header
 
 TIGHT = SolverConfig(tol=1e-10)
 
@@ -240,12 +240,6 @@ def random_grad_v(model, rng):
         W1=rng.standard_normal((h, k)), b1=rng.standard_normal(h), W2=rng.standard_normal(h), b2=float(rng.standard_normal())
     )
     return SpenInput(u=rng.standard_normal(k), w=prior)
-
-
-def assert_trees_close(got, want, rtol=1e-12):
-    assert [name for name, _ in walk(got)] == [name for name, _ in walk(want)]
-    for (name, a), (_, b) in zip(walk(got), walk(want)):
-        assert rel_err(a, b) <= rtol, name
 
 
 class TestBatchAxis:

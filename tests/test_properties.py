@@ -146,9 +146,17 @@ def test_linear_energies(case):
     check_invariants(energy, reg, v, ys, "closed_form")
 
 
-@pytest.mark.parametrize("energy_cls", [LinearQuadraticEnergy, PairwiseEnergy])
-def test_quadratic_energies_with_gini_take_coordinate_ascent(energy_cls, monkeypatch):
-    # the linear-quadratic class used to fall through to projected ascent
+@pytest.mark.parametrize(
+    "energy_cls, batched",
+    [
+        pytest.param(LinearQuadraticEnergy, False, id="LinearQuadraticEnergy"),
+        pytest.param(PairwiseEnergy, False, id="PairwiseEnergy"),
+        pytest.param(PairwiseEnergy, True, id="PairwiseEnergy-batch"),
+    ],
+)
+def test_quadratic_energies_with_gini_take_coordinate_ascent(energy_cls, batched, monkeypatch):
+    # the linear-quadratic class used to fall through to projected ascent;
+    # a batch of rows takes one coordinate-ascent call, not one per row
     module = importlib.import_module("efy.conjugate")
     calls = []
 
@@ -160,6 +168,9 @@ def test_quadratic_energies_with_gini_take_coordinate_ascent(energy_cls, monkeyp
     A = -0.5 * np.array([[1.0, 0.5], [0.5, 1.0]])
     b = np.array([0.4, -0.2])
     v = LinQuadInput(A=A, b=b) if energy_cls is LinearQuadraticEnergy else PairwiseInput(u=b, U=A)
+    expected = [8 / 15, 4 / 15]
+    if batched:  # the same row, and its mirror image
+        v, expected = PairwiseInput(u=np.stack([b, b[::-1]]), U=np.stack([A, A])), [expected, expected[::-1]]
     res = conjugate(energy_cls(2), GiniBinary(1.0, 2), v, SOLVER)
     assert len(calls) == 1 and res.status == "converged"
-    np.testing.assert_allclose(res.argmax, [8 / 15, 4 / 15], atol=1e-12)
+    np.testing.assert_allclose(res.argmax, expected, atol=1e-12)

@@ -20,6 +20,8 @@ from efy import (
     softmax,
 )
 
+from efy.regularizers import REGULARIZER_KINDS
+
 from support import box_grid, grid_conjugate_linear, simplex_grid
 
 
@@ -237,3 +239,30 @@ class TestFactoryAndRestriction:
         assert np.isinf(sub.value([0.1, 0.5]))
         assert np.isfinite(sub.value([0.5, 0.5]))
         assert sub.value([0.5, 0.5]) == pytest.approx(base.value([0.5, 0.5]))
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize(
+        "reg",
+        [make_regularizer(kind, 3, gamma=0.7) for kind in REGULARIZER_KINDS]
+        + [SquaredL2(0.7, box01(3)), SquaredL2(0.7, simplex(3)), Indicator(box(-np.ones(3), np.ones(3)))],
+        ids=lambda reg: f"{reg.kind}-{reg.domain.kind}",
+    )
+    def test_each_row_of_a_batch_is_the_single_row_call(self, reg):
+        rng = rng_from_seed(21)
+        U = 2.0 * rng.standard_normal((4, 3))
+        P = np.array([domain_sample(reg, rng) for _ in range(3)] + [np.full(3, 5.0)])  # the last row lies outside
+        batched = {
+            "argmax_map": reg.argmax_map(U),
+            "conjugate_value": reg.conjugate_value(U),
+            "value": reg.value(P),
+            "contains": reg.domain.contains(P),
+        }
+        assert batched["argmax_map"].shape == (4, 3)
+        assert all(np.shape(batched[name]) == (4,) for name in ("conjugate_value", "value", "contains"))
+        for i in range(4):
+            np.testing.assert_array_equal(batched["argmax_map"][i], reg.argmax_map(U[i]))
+            assert batched["conjugate_value"][i] == reg.conjugate_value(U[i])
+            assert batched["value"][i] == reg.value(P[i])
+            assert batched["contains"][i] == reg.domain.contains(P[i])
+        assert batched["contains"].tolist() == [True, True, True, reg.domain.kind == "reals"]
