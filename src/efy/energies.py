@@ -305,10 +305,10 @@ class LogSumExpEnergy(Energy):
         self.gamma = gamma
 
     def grad_v(self, v, p):
-        return float(as_vec(p)[0]) * softmax(v, self.gamma)
+        return float(as_vec(p)[0]) * softmax(as_vec(v), self.gamma)
 
     def linear_score(self, v):
-        return np.array([lse(v, self.gamma)])
+        return np.array([lse(as_vec(v), self.gamma)])
 
 
 class SpenEnergy(Energy):
