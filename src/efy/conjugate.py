@@ -17,8 +17,10 @@ terminated. Nonconcave energies report ``local_only``.
 
 Rows are the batch axis: a batched energy input (a leading ``B`` axis on
 every leaf) is solved in one call. Closed forms and the SPD solve act on the
-whole batch; coordinate ascent checks the batch in one pass and then sweeps
-each row as it would alone; projected ascent solves the rows one by one. The
+whole batch; coordinate ascent checks the batch in one pass and sweeps all
+its rows together in numpy, each row bit for bit as it would be swept alone
+(a single row is swept on Python floats, where numpy's per-call cost would
+dominate); projected ascent solves the rows one by one. The
 result holds one value and argmax per row but three scalars for the batch:
 the status of its least exact row (``max_iters`` > ``stalled`` >
 ``local_only`` > ``converged`` > ``closed_form``), the largest iteration
@@ -149,15 +151,26 @@ def coordinate_ascent_box_quadratic(
     ``max_{p in [0,1]^k} <u, p> + 0.5 <p, U p> - gamma * sum_j (p_j^2 - p_j)``.
 
     Each coordinate subproblem is a concave 1-D quadratic with the clipped
-    closed-form update ``p_j = clip((u_j + s_j + gamma) / (2 gamma - U_jj), 0, 1)``
+    closed-form update ``p_j = clip((u_j + gamma + s_j) / (2 gamma - U_jj), 0, 1)``
     where ``s_j`` is the off-diagonal coupling at the current iterate. Requires
     NSD U (symmetric part) so every denominator stays positive. Terminates when
     the largest coordinate move in a sweep is at most ``cfg.tol``.
 
+    The couplings ``s`` are kept up to date one column at a time: when
+    coordinate ``j`` moves by ``step``, ``s += step * column j`` of sym(U) with
+    its diagonal zeroed. Every operation is element-wise, so a row's
+    arithmetic does not depend on the rows beside it.
+
     A batch ``u`` (B, k), ``U`` (B, k, k) is checked once (one symmetrization,
-    one batched NSD test) and then swept row by row, each row exactly as it
-    would be alone; it returns the ``(B, k)`` argmax with the batch's status,
-    largest sweep count and largest final move.
+    one batched NSD test) and then swept with all rows together, in numpy over
+    the row axis; a row leaves the working arrays at the sweep it converges,
+    so a slow or capped row costs only itself. Each row of a batch is
+    bit-identical to its own solve. It returns the ``(B, k)`` argmax with the
+    batch's status, largest sweep count and largest final move; an empty
+    batch has converged with no sweeps. A single row, alone or as a batch of
+    one, is swept on Python floats with the same operations, because numpy's
+    per-call cost would dominate the few flops of each update. ``trace``
+    records one row's sweeps and is refused for a batch of more than one row.
     """
     cfg = cfg or SolverConfig()
     u = as_rows(u, "unary scores")
@@ -166,6 +179,8 @@ def coordinate_ascent_box_quadratic(
         raise ContractViolation("coordinate ascent needs gamma > 0")
     if U.shape != u.shape + u.shape[-1:]:
         raise ContractViolation("coupling matrix shape must match the unary scores")
+    if trace is not None and u.ndim == 2 and len(u) > 1:
+        raise ContractViolation(f"a sweep trace follows one row; this batch has {len(u)}")
     Us = 0.5 * (U + U.swapaxes(-1, -2))
     try:
         nsd = is_negative_semidefinite(Us)
@@ -174,32 +189,80 @@ def coordinate_ascent_box_quadratic(
     if not nsd.all():
         raise ContractViolation("coordinate ascent requires a negative semidefinite coupling")
     if u.ndim == 1:
-        return _sweeps(u, Us, gamma, cfg, trace)
-    return _per_batch([_sweeps(u[i], Us[i], gamma, cfg, trace) for i in range(len(u))], u.shape[-1])
+        return _sweep_row(u, Us, gamma, cfg, trace)
+    if len(u) != 1:
+        return _sweep_rows(u, Us, gamma, cfg)
+    p, status, sweeps, moved = _sweep_row(u[0], Us[0], gamma, cfg, trace)
+    return p[None], status, sweeps, moved
 
 
-def _sweeps(u: np.ndarray, Us: np.ndarray, gamma: float, cfg: SolverConfig, trace: list | None):
-    # coordinate ascent on one row, from the center of the box; the scalar
-    # arithmetic runs on Python floats (q mirrors p), which is faster than on
-    # numpy scalars and rounds the same
+def _box_quadratic_parts(u: np.ndarray, Us: np.ndarray, gamma: float):
+    # u + gamma, the denominators and the columns of Us with the diagonal
+    # zeroed (Us is exactly symmetric, so its row j is its column j)
+    diag = Us.diagonal(axis1=-2, axis2=-1)
+    off = Us * (1.0 - np.eye(u.shape[-1]))
+    return u + gamma, 2.0 * gamma - diag, off
+
+
+def _sweep_row(u: np.ndarray, Us: np.ndarray, gamma: float, cfg: SolverConfig, trace: list | None):
+    # one row from the center of the box, on Python floats, which round as
+    # numpy's element-wise operations do
+    ug, denom, off = (x.tolist() for x in _box_quadratic_parts(u, Us, gamma))
     k = u.size
-    p = np.full(k, 0.5)
-    q, us, diag = p.tolist(), u.tolist(), Us.diagonal().tolist()
-    denom = (2.0 * gamma - Us.diagonal()).tolist()
+    p, s = [0.5] * k, [0.0] * k
+    for col in off:
+        s = [si + ci * 0.5 for si, ci in zip(s, col)]
     moved = math.inf
     for sweep in range(1, cfg.max_iters + 1):
         moved = 0.0
         for j in range(k):
-            s = float(Us[j] @ p) - diag[j] * q[j]
-            new = min(1.0, max(0.0, (us[j] + s + gamma) / denom[j]))
-            moved = max(moved, abs(new - q[j]))
-            p[j] = q[j] = new
+            new = min(1.0, max(0.0, (ug[j] + s[j]) / denom[j]))
+            step = new - p[j]
+            if step:  # a zero step could change s only in the sign of a zero
+                moved = max(moved, abs(step))
+                s = [si + ci * step for si, ci in zip(s, off[j])]
+                p[j] = new
         if trace is not None:
-            obj = float(u @ p) + 0.5 * float(p @ (Us @ p)) - gamma * float(np.sum(p * p - p))
+            q = np.array(p)
+            obj = float(u @ q) + 0.5 * float(q @ (Us @ q)) - gamma * float(np.sum(q * q - q))
             trace.append((sweep, obj, moved))
         if moved <= cfg.tol:
-            return p, "converged", sweep, moved
-    return p, "max_iters", cfg.max_iters, moved
+            return np.array(p), "converged", sweep, moved
+    return np.array(p), "max_iters", cfg.max_iters, moved
+
+
+def _sweep_rows(u: np.ndarray, Us: np.ndarray, gamma: float, cfg: SolverConfig):
+    # every row from the center of the box, in numpy over the row axis, which
+    # is kept last so that each coordinate's slice is contiguous; fmax and
+    # fmin clip NaN as the Python floats' max and min do
+    n, k = u.shape
+    if n == 0:
+        return np.empty((0, k)), "converged", 0, 0.0
+    ug, denom, off = _box_quadratic_parts(u, Us, gamma)
+    ug, denom, off = ug.T.copy(), denom.T.copy(), off.transpose(1, 2, 0).copy()
+    rows, P, S, steps = np.arange(n), np.full((k, n), 0.5), np.zeros((k, n)), np.empty((k, n))
+    P_out, moved_out, sweeps = np.empty((k, n)), np.empty(n), np.full(n, cfg.max_iters)
+    for col in off:
+        S += col * 0.5
+    for sweep in range(1, cfg.max_iters + 1):
+        for j in range(k):
+            new = np.fmin(1.0, np.fmax(0.0, (ug[j] + S[j]) / denom[j]))
+            np.subtract(new, P[j], out=steps[j])
+            S += off[j] * steps[j]
+            P[j] = new
+        moved = np.abs(steps).max(axis=0)
+        done = moved <= cfg.tol
+        if done.any():
+            P_out[:, rows[done]], moved_out[rows[done]], sweeps[rows[done]] = P[:, done], moved[done], sweep
+            left = ~done
+            rows, moved = rows[left], moved[left]
+            if not rows.size:
+                break
+            ug, denom, off, P, S, steps = (x[..., left] for x in (ug, denom, off, P, S, steps))
+    else:  # the rows still here are capped, each with its own final move
+        P_out[:, rows], moved_out[rows] = P, moved
+    status = "max_iters" if rows.size else "converged"
+    return P_out.T.copy(), status, int(sweeps.max()), float(moved_out.max())
 
 
 def _finish(energy: Energy, v, p: np.ndarray, value, status: str, iters: int, gap: float) -> ConjugateResult:

@@ -16,8 +16,8 @@ Rows are the batch axis of the four training losses: with a batched input
 ``v`` and targets ``y`` (B, k), one call returns a ``(B,)`` value, the
 batched gradient and one batched conjugate solve (see
 :mod:`~efy.conjugate` for its status, the batch's least exact). A single
-row is the ``B = 1`` case. ``xent_loss`` differentiates each row by finite
-differences on its own.
+row is the ``B = 1`` case. ``xent_loss`` takes its finite differences on
+the whole batch at once.
 """
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ import numpy as np
 
 from .conjugate import ConjugateResult, SolverConfig, conjugate
 from .energies import BilinearEnergy, Energy
-from .exceptions import ContractViolation
-from .numerics import as_rows, as_vec, assert_finite, finite_diff_grad, row, row_values, stack
+from .exceptions import ContractViolation, EvaluationError
+from .numerics import FD_STEP, as_rows, as_vec, assert_finite, finite_diff_grad, rebuild, row, row_values, stack, walk
 from .regularizers import Indicator, OutputSet, Regularizer
 
 XENT_CLIP = 1e-6
@@ -99,23 +99,42 @@ def xent_loss(
 
     A baseline, not a Fenchel-Young loss: its gradient needs differentiation
     through the argmax, which we replace by central finite differences over
-    the flattened input. Cost scales with the input dimension; intended for
-    small problems only. Predictions are clipped to ``[XENT_CLIP, 1 - XENT_CLIP]``
-    so exactly sparse argmaxes keep the log finite. A batch is differentiated
-    row by row.
+    the input, with the step ``FD_STEP * (1 + |v_i|)`` of
+    :func:`~efy.numerics.finite_diff_grad`. Cost scales with the input
+    dimension; intended for small problems only. Predictions are clipped to
+    ``[XENT_CLIP, 1 - XENT_CLIP]`` so exactly sparse argmaxes keep the log
+    finite. A batch is differentiated at once: coordinate ``i`` of every row
+    moves together, so the gradient takes ``2 dim(v)`` batched conjugate
+    calls, and each row's numbers are those of its own solve.
     """
     y = as_rows(y)
-    if y.ndim == 2:
-        per_row = [xent_loss(energy, reg, row(v, i), y[i], cfg) for i in range(len(y))]
-        return LossEval(value=np.array([le.value for le in per_row]), grad_v=stack([le.grad_v for le in per_row]))
+    single = y.ndim == 1
+    V, Y = (stack([v]), y[None]) if single else (v, y)
 
-    def value_of(vv) -> float:
-        p = conjugate(energy, reg, vv, cfg).argmax
-        p = np.clip(p, XENT_CLIP, 1.0 - XENT_CLIP)
-        return float(-np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    def value_of(vv) -> np.ndarray:
+        p = np.clip(conjugate(energy, reg, vv, cfg).argmax, XENT_CLIP, 1.0 - XENT_CLIP)
+        return -np.sum(Y * np.log(p) + (1.0 - Y) * np.log(1.0 - p), axis=-1)
 
-    grad = input_grad_finite_diff(energy, v, value_of)
-    return LossEval(value=value_of(v), grad_v=grad, conjugate=None)
+    names, leaves = zip(*[(name, np.asarray(leaf, dtype=float)) for name, leaf in walk(V)])
+    leaves, grads = list(leaves), []
+    for n, leaf in enumerate(leaves):
+        grad = np.empty_like(leaf)
+        for i in np.ndindex(leaf.shape[1:]):
+            at = (slice(None), *i)
+            h = FD_STEP * (1.0 + np.abs(leaf[at]))
+            plus, minus = leaf.copy(), leaf.copy()
+            plus[at] += h
+            minus[at] -= h
+            fp = value_of(rebuild(V, iter(leaves[:n] + [plus] + leaves[n + 1 :])))
+            fm = value_of(rebuild(V, iter(leaves[:n] + [minus] + leaves[n + 1 :])))
+            if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
+                raise EvaluationError(f"objective non-finite near entry {i} of input {names[n] or 'v'}")
+            grad[at] = (fp - fm) / (2.0 * h)
+        grads.append(grad)
+    value, grad_v = value_of(V), rebuild(V, iter(grads))
+    if single:
+        return LossEval(value=float(value[0]), grad_v=row(grad_v, 0), conjugate=None)
+    return LossEval(value=value, grad_v=grad_v, conjugate=None)
 
 
 def linearized_upper_bound(energy: Energy, reg: Regularizer, v, p) -> float:

@@ -323,6 +323,19 @@ class TestBatchAxis:
         assert sweeps == singles[1][2]
         assert gap == max(s[3] for s in singles)
 
+    def test_an_empty_batch_converges_without_a_sweep(self):
+        p, status, sweeps, gap = coordinate_ascent_box_quadratic(np.zeros((0, 3)), np.zeros((0, 3, 3)), 0.5)
+        assert p.shape == (0, 3)
+        assert (status, sweeps, gap) == ("converged", 0, 0.0)
+
+    def test_a_sweep_trace_takes_one_row(self):
+        u, U = self.rows()
+        with pytest.raises(ContractViolation, match="trace"):
+            coordinate_ascent_box_quadratic(u, U, 0.5, trace=[])
+        trace = []
+        p, _, sweeps, _ = coordinate_ascent_box_quadratic(u[1:], U[1:], 0.5, trace=trace)
+        assert p.shape == (1, 3) and len(trace) == sweeps
+
     def test_the_batch_status_is_its_least_exact_row(self):
         assert batch_status(["closed_form"]) == "closed_form"
         assert batch_status(["converged", "closed_form"]) == "converged"

@@ -28,6 +28,8 @@ from efy import (
     xent_loss,
 )
 
+from efy.numerics import row, stack
+
 from support import (
     FAMILIES,
     box_grid,
@@ -254,6 +256,20 @@ class TestBaselines:
         out = xent_loss(energy, reg, v, y)
         assert out.value == pytest.approx(-2.0 * np.log(0.8))
         np.testing.assert_allclose(out.grad_v, [-1.25 * 0.5, 1.25 * 0.5], atol=1e-6)
+
+    @pytest.mark.parametrize("energy", [BilinearEnergy(np.eye(3)), LinearQuadraticEnergy(3)], ids=["unary", "linear_quadratic"])
+    def test_xent_batch_rows_are_bit_identical_to_single_rows(self, energy):
+        # Gini's closed form for unary scores, coordinate ascent for the quadratic
+        rng = rng_from_seed(14)
+        ins = [energy.random_input(rng) for _ in range(4)]
+        Y = rng.uniform(0, 1, size=(4, 3))
+        reg, cfg = GiniBinary(1.0, 3), SolverConfig(tol=1e-9)
+        batched = xent_loss(energy, reg, stack(ins), Y, cfg)
+        assert batched.value.shape == (4,)
+        for i, v in enumerate(ins):
+            single = xent_loss(energy, reg, v, Y[i], cfg)
+            assert batched.value[i] == single.value
+            np.testing.assert_array_equal(energy.input_to_vec(row(batched.grad_v, i)), energy.input_to_vec(single.grad_v))
 
 
 class TestLinearizedBound:

@@ -9,6 +9,10 @@ regularizer's domain:
   with equality at ``p*``;
 * the solve is exact: ``closed_form``, or ``converged`` for coordinate ascent.
 
+Coordinate ascent on a batch, in any row order and with a cap that stops
+some rows early, gives each row bit for bit its own solve and reports the
+rows' largest sweep count, largest final move and least exact status.
+
 Quadratic energies (both classes, negative semidefinite ``A``) are paired
 with the two regularizers they have an exact solve for; linear energies with
 every regularizer that has a closed-form argmax map.
@@ -19,6 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+
+from efy.conjugate import batch_status
 
 from efy import (
     BilinearEnergy,
@@ -174,3 +180,39 @@ def test_quadratic_energies_with_gini_take_coordinate_ascent(energy_cls, batched
     res = conjugate(energy_cls(2), GiniBinary(1.0, 2), v, SOLVER)
     assert len(calls) == 1 and res.status == "converged"
     np.testing.assert_allclose(res.argmax, expected, atol=1e-12)
+
+
+@st.composite
+def coordinate_ascent_batches(draw):
+    # rank-one couplings -a a^T, as the pairwise model emits, and general NSD
+    # ones -g g^T; tol sits below what a few sweeps reach, so some rows cap
+    k, rows = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    u, U = np.empty((rows, k)), np.empty((rows, k, k))
+    for i in range(rows):
+        u[i] = draw(arrays(float, k, elements=ENTRIES))
+        if draw(st.booleans()):
+            a = draw(arrays(float, k, elements=ENTRIES))
+            U[i] = -np.outer(a, a)
+        else:
+            g = draw(matrices(k, k))
+            U[i] = -(g @ g.T) / k
+    cfg = SolverConfig(tol=1e-12, max_iters=draw(st.integers(1, 30)))
+    return u, U, draw(GAMMAS), cfg, draw(st.permutations(range(rows)))
+
+
+@PROPERTY_SETTINGS
+@given(case=coordinate_ascent_batches())
+def test_coordinate_ascent_batch_rows_are_their_own_solves(case):
+    u, U, gamma, cfg, order = case
+    singles = [coordinate_ascent_box_quadratic(u[i], U[i], gamma, cfg) for i in range(len(u))]
+    for rows in (list(range(len(u))), list(order)):
+        P, status, sweeps, gap = coordinate_ascent_box_quadratic(u[rows], U[rows], gamma, cfg)
+        assert P.shape == u.shape
+        for p, i in zip(P, rows):
+            assert p.tobytes() == singles[i][0].tobytes()
+        if not rows:
+            assert (status, sweeps, gap) == ("converged", 0, 0.0)
+            continue
+        assert status == batch_status([s[1] for s in singles])
+        assert sweeps == max(s[2] for s in singles)
+        assert gap == max(s[3] for s in singles)
