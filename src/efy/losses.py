@@ -118,7 +118,7 @@ def xent_loss(
     names, leaves = zip(*[(name, np.asarray(leaf, dtype=float)) for name, leaf in walk(V)])
     leaves, grads = list(leaves), []
     for n, leaf in enumerate(leaves):
-        grad = np.empty_like(leaf)
+        grad = np.empty(leaf.shape)  # C order whatever V's layout: the vjp's products round by layout
         for i in np.ndindex(leaf.shape[1:]):
             at = (slice(None), *i)
             h = FD_STEP * (1.0 + np.abs(leaf[at]))
