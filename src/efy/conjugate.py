@@ -20,11 +20,11 @@ every leaf) is solved in one call. Closed forms and the SPD solve act on the
 whole batch; coordinate ascent checks the batch in one pass and sweeps all
 its rows together in numpy, each row bit for bit as it would be swept alone
 (a single row is swept on Python floats, where numpy's per-call cost would
-dominate); projected ascent solves the rows one by one. The
-result holds one value and argmax per row but three scalars for the batch:
-the status of its least exact row (``max_iters`` > ``stalled`` >
-``local_only`` > ``converged`` > ``closed_form``), the largest iteration
-count and the largest gap.
+dominate); projected ascent steps all rows together, each with its own step,
+line search and exit. The result holds one value and argmax per row but
+three scalars for the batch: the status of its least exact row
+(``max_iters`` > ``stalled`` > ``local_only`` > ``converged`` >
+``closed_form``), the largest iteration count and the largest gap.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from .exceptions import (
     SingularMatrixError,
     UnsupportedOperation,
 )
-from .numerics import as_rows, assert_finite, is_negative_semidefinite, rng_from_seed, row, row_values, solve_spd
+from .numerics import as_rows, assert_finite, is_negative_semidefinite, rng_from_seed, row_values, solve_spd
 from .regularizers import GiniBinary, Regularizer, SquaredL2
 
 MAX_LINE_SEARCH_SHRINKS = 50
@@ -90,15 +90,6 @@ def batch_status(statuses: Iterable[str]) -> str:
     return max(statuses, key=STATUS_ORDER.index)
 
 
-def _per_batch(solves: list, k: int) -> tuple[np.ndarray, str, int, float]:
-    # (p, status, iters, gap) of each row -> the argmax matrix and the batch's scalars;
-    # an empty batch has converged with no iterations
-    if not solves:
-        return np.empty((0, k)), "converged", 0, 0.0
-    P, statuses, iters, gaps = zip(*solves)
-    return np.array(P), batch_status(statuses), max(iters), max(gaps)
-
-
 def projected_gradient_ascent(
     value_fn: Callable[[np.ndarray], float],
     grad_fn: Callable[[np.ndarray], np.ndarray],
@@ -107,41 +98,67 @@ def projected_gradient_ascent(
     p0: np.ndarray | None = None,
     trace: list | None = None,
 ) -> tuple[np.ndarray, str, int, float]:
-    """Maximize ``value_fn`` over ``domain`` by projected ascent.
+    """Maximize ``value_fn`` over ``domain`` by projected ascent, at one point or each row of a batch.
 
     Armijo backtracking on the projection arc: a trial step ``t`` is accepted
     when ``F(p+) >= F(p) + (c/t) ||p+ - p||^2``. The optimality gap is the
     unit-step projected-gradient norm ``||p - proj(p + grad)||``. Objective
     values are monotone nondecreasing across accepted steps.
+
+    A float value at the domain's center means one point ``(k,)``; a ``(B,)``
+    value means a batch, whose ``(B, k)`` rows the callables take whole and
+    ``p0`` must match. Each row keeps its own step, line search and exit, bit
+    for bit as alone; a batch reports its least exact status, largest
+    iteration count and largest gap. ``trace`` follows a single row.
     """
-    p = domain.project(p0) if p0 is not None else domain.center()
-    fp = value_fn(p)
-    if not math.isfinite(fp):
+    p = domain.center()
+    F = np.array(value_fn(p), dtype=float)
+    if p0 is not None:
+        if np.shape(p0) != F.shape + p.shape:
+            raise ContractViolation(f"start point has shape {np.shape(p0)}; this input needs {F.shape + p.shape}")
+        p = domain.project(p0)
+        F = np.array(value_fn(p), dtype=float)
+    if trace is not None and F.size > 1:
+        raise ContractViolation(f"an ascent trace follows one row; this batch has {F.size}")
+    if not np.isfinite(F).all():
         raise DivergenceError("objective non-finite at the start point")
-    step = cfg.init_step
-    gap = math.inf
+    P = np.broadcast_to(p, F.shape + p.shape[-1:]).copy()
+    if not F.size:
+        return P, "converged", 0, 0.0
+    t, live, stalled = np.full(F.shape, cfg.init_step), np.ones(F.shape, dtype=bool), False
     for it in range(1, cfg.max_iters + 1):
-        g = grad_fn(p)
-        gap = float(np.linalg.norm(p - domain.project(p + g)))
+        G = grad_fn(P)
+        D = P - domain.project(P + G)
+        gap = np.sqrt(np.vecdot(D, D))  # a finished row's point, and so its gap, stays put
         if trace is not None:
-            trace.append((it, fp, gap))
-        if gap <= cfg.tol:
-            return p, "converged", it, gap
-        t = min(cfg.init_step, 2.0 * step)
+            trace.append((it, F.item(), gap.item()))
+        live &= ~(gap <= cfg.tol)
+        if not live.any():
+            break
+        # each live row tries twice its last accepted step and takes the first that passes
+        t, searching = np.minimum(cfg.init_step, 2.0 * t), live.copy()
         for _ in range(MAX_LINE_SEARCH_SHRINKS + 1):
-            cand = domain.project(p + t * g)
-            fc = value_fn(cand)
-            move = cand - p
-            # a step shrunk to zero cannot move; the search then ends stalled
-            if math.isfinite(fc) and t > 0.0 and fc >= fp + SUFFICIENT_INCREASE / t * float(move @ move):
+            T = domain.project(P + t[..., None] * G)
+            FT = value_fn(T)
+            M = T - P
+            ok = searching & np.isfinite(FT) & (FT >= F + SUFFICIENT_INCREASE / t * np.vecdot(M, M))
+            np.copyto(P, T, where=ok[..., None])
+            np.copyto(F, FT, where=ok)
+            searching &= ~ok
+            if not searching.any():
                 break
-            t *= LINE_SEARCH_SHRINK
+            # a step that would shrink to zero is retried, fails again and ends stalled
+            half = t * LINE_SEARCH_SHRINK
+            t = np.where(searching & (half > 0.0), half, t)
         else:
-            return p, "stalled", it, gap
-        p, fp, step = cand, fc, t
-        if fp > OBJECTIVE_CAP:
+            live &= ~searching
+            stalled = True
+            if not live.any():
+                break
+        if (live & (F > OBJECTIVE_CAP)).any():
             raise DivergenceError("objective exceeded cap; maximization appears unbounded")
-    return p, "max_iters", cfg.max_iters, gap
+    status = "max_iters" if live.any() else "stalled" if stalled else "converged"
+    return P, status, it, float(gap.max())
 
 
 def coordinate_ascent_box_quadratic(
@@ -300,9 +317,10 @@ def conjugate(
 ) -> ConjugateResult:
     """Compute ``Omega^Phi(v)`` with the argmax and envelope gradient, for one input or a batch.
 
-    ``p0`` (one start per row for a batch) warm-starts the projected-ascent
-    path only; closed forms and coordinate ascent ignore it (their solutions
-    do not depend on the start).
+    Every path makes one solver call for the whole batch. ``p0`` (one start
+    per row for a batch, shaped like the argmax) warm-starts the
+    projected-ascent path only; closed forms and coordinate ascent ignore it
+    (their solutions do not depend on the start).
     """
     cfg = cfg or SolverConfig()
     if reg.domain.dim != energy.k:
@@ -338,21 +356,11 @@ def conjugate(
             value = energy.value(v, p) - reg.value(p)
             return _finish(energy, v, p, value, status, iters, gap)
 
-    n = energy.rows(v)
-    if n is None:
-        p, status, iters, gap = _pga_row(energy, reg, v, cfg, p0, trace)
-    else:
-        solves = [_pga_row(energy, reg, row(v, i), cfg, None if p0 is None else p0[i], trace) for i in range(n)]
-        p, status, iters, gap = _per_batch(solves, energy.k)
-    return _finish(energy, v, p, energy.value(v, p) - reg.value(p), status, iters, gap)
-
-
-def _pga_row(energy: Energy, reg: Regularizer, v, cfg: SolverConfig, p0, trace: list | None):
     value_fn, grad_fn = _pga_objective(energy, reg, v)
     p, status, iters, gap = projected_gradient_ascent(value_fn, grad_fn, reg.domain, cfg, p0=p0, trace=trace)
     if status == "converged" and energy.p_structure == "nonconcave":
         status = "local_only"
-    return p, status, iters, gap
+    return _finish(energy, v, p, energy.value(v, p) - reg.value(p), status, iters, gap)
 
 
 def conjugate_with_restarts(
@@ -367,11 +375,13 @@ def conjugate_with_restarts(
 
     Runs the deterministic center start plus ``n_restarts`` seeded random
     starts and keeps the best objective. The result is therefore never worse
-    than the plain deterministic solve.
+    than the plain deterministic solve. It takes one input, not a batch.
     """
     cfg = cfg or SolverConfig()
-    value_fn, grad_fn = _pga_objective(energy, reg, v)
     best = conjugate(energy, reg, v, cfg)
+    if np.ndim(best.value):
+        raise ContractViolation("multistart solves one input, not a batch of rows")
+    value_fn, grad_fn = _pga_objective(energy, reg, v)
     rng = rng_from_seed(seed)
     for _ in range(n_restarts):
         p0 = reg.domain.project(rng.uniform(-1.0, 2.0, size=reg.domain.dim))

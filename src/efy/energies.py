@@ -21,9 +21,9 @@ picks its exact solve:
 Rows are the batch axis: a batched input has a leading ``B`` axis on every
 leaf (as :class:`~efy.models.Model` ``forward`` makes it), outputs are then
 ``(B, k)``, and ``value``, ``grad_p`` and ``grad_v`` answer row by row with a
-``(B,)`` value and batched gradients. ``rows`` tells a batch from a single
-input. The bilinear, linear-quadratic, pairwise, rectifier and spen energies
-take batches; maxout and lse_net take one row at a time.
+``(B,)`` value and batched gradients; one output ``p`` broadcasts over a
+batched input. The bilinear, linear-quadratic, pairwise, rectifier and spen
+energies take batches; maxout and lse_net take one row at a time.
 """
 from __future__ import annotations
 
@@ -120,11 +120,6 @@ class Energy:
         if p.shape[-1] != self.k:
             raise ContractViolation(f"output has {p.shape[-1]} coordinates, energy expects {self.k}")
         return p
-
-    def rows(self, v) -> int | None:
-        """The number of rows of a batched input; None for a single one."""
-        (_, leaf), (_, like) = next(walk(v)), next(walk(self._input_like))
-        return np.shape(leaf)[0] if np.ndim(leaf) > np.ndim(like) else None
 
     def value(self, v, p):
         """``Phi(v, p)``, derived from the declared form of ``p_structure``."""

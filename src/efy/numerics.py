@@ -198,23 +198,14 @@ def rebuild(like, leaves: Iterator):
     return type(like)(*[rebuild(getattr(like, name), leaves) for name in names])
 
 
-# row and stack recurse on the field names directly: both run once per row
-# of a projected-ascent batch, where walk's generators cost more than the
-# indexing they would drive.
 def row(tree, i: int):
     """Row ``i`` of a batched tree: each leaf indexed on its leading axis."""
-    names = _field_names(type(tree))
-    if names is None:
-        return tree[i]
-    return type(tree)(*[row(getattr(tree, name), i) for name in names])
+    return rebuild(tree, (leaf[i] for _, leaf in walk(tree)))
 
 
 def stack(trees: list):
     """One batched tree from same-shaped ``trees``: each leaf gains a leading axis."""
-    names = _field_names(type(trees[0]))
-    if names is None:
-        return np.stack(trees)
-    return type(trees[0])(*[stack([getattr(tree, name) for tree in trees]) for name in names])
+    return rebuild(trees[0], (np.stack([leaf for _, leaf in pairs]) for pairs in zip(*map(walk, trees))))
 
 
 def unflatten(like, vec):

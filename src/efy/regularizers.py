@@ -6,10 +6,9 @@ closed-form argmax map expose ``argmax_map(u) = argmax_{p in C} <u, p> - Omega(p
 which is the workhorse for conjugates of energies that are linear in ``p``.
 
 Rows are the batch axis: ``OutputSet.contains`` and ``project``, and a
-regularizer's ``value``, ``argmax_map`` and ``conjugate_value``, take one
-point ``(k,)`` or a batch ``(B, k)`` and answer row by row (a scalar per row
-becomes a ``(B,)`` array). ``grad`` stays single-row: only projected ascent
-needs it, and that solves one row at a time.
+regularizer's ``value``, ``grad``, ``argmax_map`` and ``conjugate_value``,
+take one point ``(k,)`` or a batch ``(B, k)`` and answer row by row (a scalar
+per row becomes a ``(B,)`` array).
 
 Conventions: ``0 log 0 = 0``, so entropies are finite on the whole closed
 domain, while their gradients blow up at the boundary and raise
@@ -177,8 +176,9 @@ class Regularizer:
         raise NotImplementedError
 
     def grad(self, p) -> np.ndarray:
-        p = as_vec(p)
-        if not self.domain.contains(p):
+        """Gradient at a point, or at each row of a batch; every row must lie in the domain."""
+        p = as_rows(p)
+        if not self.domain.contains(p).all():
             raise ContractViolation("gradient requested outside the domain")
         return self._grad_inside(p)
 

@@ -28,6 +28,7 @@ from efy import (
 )
 
 from efy.conjugate import batch_status
+from efy.numerics import rebuild, row, stack, walk
 
 from support import (
     FAMILIES,
@@ -335,6 +336,44 @@ class TestBatchAxis:
         trace = []
         p, _, sweeps, _ = coordinate_ascent_box_quadratic(u[1:], U[1:], 0.5, trace=trace)
         assert p.shape == (1, 3) and len(trace) == sweeps
+
+    def spen_rows(self, n, concave=True):
+        rng = rng_from_seed(31)
+        energy = SpenEnergy(3, hidden=2, concave=concave)
+        return energy, stack([energy.random_input(rng) for _ in range(n)])
+
+    def test_a_start_point_must_match_the_input(self):
+        energy, V = self.spen_rows(2)
+        reg = GiniBinary(0.5, 3)
+        with pytest.raises(ContractViolation, match="start point"):
+            conjugate(energy, reg, row(V, 0), p0=np.full((2, 3), 0.5))
+        with pytest.raises(ContractViolation, match="start point"):
+            conjugate(energy, reg, V, p0=np.full((3, 3), 0.5))
+        P0 = np.array([[0.2, 0.4, 0.9], [0.7, 0.1, 0.5]])
+        res = conjugate(energy, reg, V, TIGHT, p0=P0)
+        for i in range(2):  # each row warm-starts from its own start
+            assert res.argmax[i].tobytes() == conjugate(energy, reg, row(V, i), TIGHT, p0=P0[i]).argmax.tobytes()
+
+    def test_multistart_takes_one_input(self):
+        energy, V = self.spen_rows(2, concave=False)
+        with pytest.raises(ContractViolation, match="one input"):
+            conjugate_with_restarts(energy, SquaredL2(0.5, box01(3)), V)
+
+    def test_an_ascent_trace_takes_one_row(self):
+        energy, V = self.spen_rows(2)
+        reg = GiniBinary(0.5, 3)
+        with pytest.raises(ContractViolation, match="trace"):
+            conjugate(energy, reg, V, trace=[])
+        trace = []
+        res = conjugate(energy, reg, stack([row(V, 1)]), trace=trace)
+        assert res.argmax.shape == (1, 3)
+        assert [it for it, _, _ in trace] == list(range(1, res.iters + 1))
+
+    def test_an_empty_ascent_batch_converges_without_an_iteration(self):
+        energy, V = self.spen_rows(2)
+        res = conjugate(energy, GiniBinary(0.5, 3), rebuild(V, (leaf[:0] for _, leaf in walk(V))))
+        assert res.argmax.shape == (0, 3) and res.value.shape == (0,)
+        assert (res.status, res.iters, res.gap) == ("converged", 0, 0.0)
 
     def test_the_batch_status_is_its_least_exact_row(self):
         assert batch_status(["closed_form"]) == "closed_form"

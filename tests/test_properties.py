@@ -9,9 +9,9 @@ regularizer's domain:
   with equality at ``p*``;
 * the solve is exact: ``closed_form``, or ``converged`` for coordinate ascent.
 
-Coordinate ascent on a batch, in any row order and with a cap that stops
-some rows early, gives each row bit for bit its own solve and reports the
-rows' largest sweep count, largest final move and least exact status.
+Coordinate ascent and projected ascent on a batch, in any row order and with
+a cap that stops some rows early, give each row bit for bit its own solve and
+report the rows' largest iteration count, largest gap and least exact status.
 
 Quadratic energies (both classes, negative semidefinite ``A``) are paired
 with the two regularizers they have an exact solve for; linear energies with
@@ -21,11 +21,12 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from efy import (
     BilinearEnergy,
+    EfyError,
     GiniBinary,
     Indicator,
     LinQuadInput,
@@ -34,20 +35,25 @@ from efy import (
     MaxoutEnergy,
     PairwiseEnergy,
     PairwiseInput,
+    PriorWeights,
     RectifierEnergy,
     ShannonBinary,
     ShannonSimplex,
     SolverConfig,
+    SpenEnergy,
+    SpenInput,
     SquaredL2,
     box01,
     conjugate,
     coordinate_ascent_box_quadratic,
     gfy_loss,
+    projected_gradient_ascent,
     reals,
     simplex,
 )
 
 from efy.conjugate import batch_status
+from efy.numerics import stack
 
 PROPERTY_SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 # coordinate ascent stops when no coordinate moves more than tol in a sweep
@@ -182,6 +188,27 @@ def test_quadratic_energies_with_gini_take_coordinate_ascent(energy_cls, batched
     np.testing.assert_allclose(res.argmax, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", ["pairwise", "spen"])
+def test_a_batch_takes_one_projected_ascent_call(family, monkeypatch):
+    # the perceptron's pair and spen's: every row of the batch in one solve
+    module = importlib.import_module("efy.conjugate")
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return projected_gradient_ascent(*args, **kwargs)
+
+    monkeypatch.setattr(module, "projected_gradient_ascent", spy)
+    rng = np.random.default_rng(3)
+    if family == "pairwise":
+        energy, reg = PairwiseEnergy(3), Indicator(box01(3))
+    else:
+        energy, reg = SpenEnergy(3, hidden=2), GiniBinary(0.5, 3)
+    V = stack([energy.random_input(rng) for _ in range(4)])
+    res = conjugate(energy, reg, V, SolverConfig(max_iters=50))
+    assert len(calls) == 1 and res.argmax.shape == (4, 3)
+
+
 @st.composite
 def coordinate_ascent_batches(draw):
     # rank-one couplings -a a^T, as the pairwise model emits, and general NSD
@@ -213,3 +240,84 @@ def test_coordinate_ascent_batch_rows_are_their_own_solves(case):
         assert status == batch_status([s[1] for s in singles])
         assert sweeps == max(s[2] for s in singles)
         assert gap == max(s[3] for s in singles)
+
+
+def nsd_couplings(draw, k):
+    # a rank-one coupling -a a^T, as the pairwise model emits, or a general -g g^T
+    if draw(st.booleans()):
+        a = draw(arrays(float, k, elements=ENTRIES))
+        return -np.outer(a, a)
+    g = draw(matrices(k, k))
+    return -(g @ g.T) / k
+
+
+@st.composite
+def projected_ascent_batches(draw):
+    # the pairs that take projected ascent in training and analysis, with caps
+    # that stop some rows early; a row whose gradient is flipped climbs downhill,
+    # so no trial step passes and it stalls (no energy here stalls on its own)
+    family = draw(st.sampled_from(["pairwise", "spen", "spen_nonconcave", "linear_quadratic"]))
+    k, rows, gamma = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(GAMMAS)
+    if family.startswith("spen"):
+        hidden = draw(st.integers(1, 3))
+        energy, reg = SpenEnergy(k, hidden, concave=family == "spen"), GiniBinary(gamma, k)
+    else:
+        energy = PairwiseEnergy(k) if family == "pairwise" else LinearQuadraticEnergy(k)
+        reg = Indicator(box01(k)) if family == "pairwise" else ShannonBinary(gamma, k)
+    singles = []
+    for _ in range(rows):
+        u = draw(arrays(float, k, elements=ENTRIES))
+        if family == "pairwise":
+            singles.append(PairwiseInput(u=u, U=nsd_couplings(draw, k)))
+        elif family == "linear_quadratic":
+            singles.append(LinQuadInput(A=nsd_couplings(draw, k), b=u))
+        else:
+            W1, b1, W2 = (draw(arrays(float, shape, elements=ENTRIES)) for shape in ((hidden, k), hidden, hidden))
+            singles.append(SpenInput(u=u, w=PriorWeights(W1=W1, b1=b1, W2=W2, b2=draw(ENTRIES))))
+    tol, init_step = draw(st.sampled_from([1e-6, 1e-13])), draw(st.sampled_from([1.0, 0.05]))
+    cfg = SolverConfig(tol=tol, max_iters=draw(st.integers(1, 30)), init_step=init_step)
+    flipped = draw(arrays(bool, rows))
+    return energy, reg, singles, flipped, cfg, draw(st.permutations(range(rows)))
+
+
+def attempt(solve, *args):
+    try:
+        return solve(*args)
+    except EfyError as exc:  # e.g. a Shannon step that lands on the box's boundary
+        return exc
+
+
+def by_ascent(energy, reg, v, flipped, cfg):
+    # the solver on the conjugate's objective, a flipped row's gradient negated
+    sign = np.where(flipped, -1.0, 1.0)[..., None]
+    return projected_gradient_ascent(
+        lambda p: energy.value(v, p) - reg.value(p), lambda p: sign * (energy.grad_p(v, p) - reg.grad(p)), reg.domain, cfg
+    )
+
+
+def by_conjugate(energy, reg, v, flipped, cfg):
+    # the oracle, with its own gradient; it names a nonconcave energy's rows local_only
+    res = conjugate(energy, reg, v, cfg)
+    return res.argmax, res.status, res.iters, res.gap
+
+
+@PROPERTY_SETTINGS
+@given(case=projected_ascent_batches())
+def test_projected_ascent_batch_rows_are_their_own_solves(case):
+    energy, reg, singles, flipped, cfg, order = case
+    for solve in (by_ascent, by_conjugate):
+        alone = [attempt(solve, energy, reg, v, flipped[i], cfg) for i, v in enumerate(singles)]
+        failed = {type(r) for r in alone if isinstance(r, EfyError)}
+        event(f"{solve.__name__}, {energy.kind} {energy.p_structure}: {failed or batch_status([r[1] for r in alone])}")
+        for rows in (list(range(len(singles))), list(order)):
+            got = attempt(solve, energy, reg, stack([singles[i] for i in rows]), flipped[rows], cfg)
+            if failed:  # a row whose own solve fails fails its batch
+                assert type(got) in failed
+                continue
+            P, status, iters, gap = got
+            assert P.shape == (len(rows), energy.k)
+            for p, i in zip(P, rows):
+                assert p.tobytes() == alone[i][0].tobytes()
+            assert status == batch_status([r[1] for r in alone])
+            assert iters == max(r[2] for r in alone)
+            assert gap == max(r[3] for r in alone)

@@ -257,12 +257,18 @@ class TestBatchAxis:
             "conjugate_value": reg.conjugate_value(U),
             "value": reg.value(P),
             "contains": reg.domain.contains(P),
+            "grad": reg.grad(P[:3]),  # a gradient needs every row inside the domain
         }
-        assert batched["argmax_map"].shape == (4, 3)
+        assert batched["argmax_map"].shape == (4, 3) and batched["grad"].shape == (3, 3)
         assert all(np.shape(batched[name]) == (4,) for name in ("conjugate_value", "value", "contains"))
         for i in range(4):
             np.testing.assert_array_equal(batched["argmax_map"][i], reg.argmax_map(U[i]))
             assert batched["conjugate_value"][i] == reg.conjugate_value(U[i])
             assert batched["value"][i] == reg.value(P[i])
             assert batched["contains"][i] == reg.domain.contains(P[i])
+        for i in range(3):
+            np.testing.assert_array_equal(batched["grad"][i], reg.grad(P[i]))
         assert batched["contains"].tolist() == [True, True, True, reg.domain.kind == "reals"]
+        if reg.domain.kind != "reals":
+            with pytest.raises(ContractViolation, match="outside"):
+                reg.grad(P)
