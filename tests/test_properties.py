@@ -209,20 +209,23 @@ def test_a_batch_takes_one_projected_ascent_call(family, monkeypatch):
     assert len(calls) == 1 and res.argmax.shape == (4, 3)
 
 
+def nsd_couplings(draw, k):
+    # a rank-one coupling -a a^T, as the pairwise model emits, or a general -g g^T
+    if draw(st.booleans()):
+        a = draw(arrays(float, k, elements=ENTRIES))
+        return -np.outer(a, a)
+    g = draw(matrices(k, k))
+    return -(g @ g.T) / k
+
+
 @st.composite
 def coordinate_ascent_batches(draw):
-    # rank-one couplings -a a^T, as the pairwise model emits, and general NSD
-    # ones -g g^T; tol sits below what a few sweeps reach, so some rows cap
+    # tol sits below what a few sweeps reach, so some rows cap
     k, rows = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     u, U = np.empty((rows, k)), np.empty((rows, k, k))
     for i in range(rows):
         u[i] = draw(arrays(float, k, elements=ENTRIES))
-        if draw(st.booleans()):
-            a = draw(arrays(float, k, elements=ENTRIES))
-            U[i] = -np.outer(a, a)
-        else:
-            g = draw(matrices(k, k))
-            U[i] = -(g @ g.T) / k
+        U[i] = nsd_couplings(draw, k)
     cfg = SolverConfig(tol=1e-12, max_iters=draw(st.integers(1, 30)))
     return u, U, draw(GAMMAS), cfg, draw(st.permutations(range(rows)))
 
@@ -240,15 +243,6 @@ def test_coordinate_ascent_batch_rows_are_their_own_solves(case):
         assert status == batch_status([s[1] for s in singles])
         assert sweeps == max(s[2] for s in singles)
         assert gap == max(s[3] for s in singles)
-
-
-def nsd_couplings(draw, k):
-    # a rank-one coupling -a a^T, as the pairwise model emits, or a general -g g^T
-    if draw(st.booleans()):
-        a = draw(arrays(float, k, elements=ENTRIES))
-        return -np.outer(a, a)
-    g = draw(matrices(k, k))
-    return -(g @ g.T) / k
 
 
 @st.composite
