@@ -17,6 +17,11 @@ reduces to thresholding at 1/2 (exact ties resolve to 0).
 where M is the smoothness of the surrogate in its input (exact for bilinear
 couplings with strongly convex regularizers, estimated and inflated
 ``SMOOTHNESS_INFLATION``-fold for the pairwise quadratic embedding).
+
+Rows are the batch axis: ``decode`` and the pointwise risks take one input
+or a batch of rows (one input still gives a ``(k,)`` label or a float), and
+``calibration_check`` and ``estimate_smoothness`` solve their whole input set
+in one batched conjugate call.
 """
 from __future__ import annotations
 
@@ -31,8 +36,7 @@ from scipy.optimize import minimize
 from .conjugate import SolverConfig, conjugate
 from .energies import BilinearEnergy, Energy, PairwiseEnergy, PairwiseInput
 from .exceptions import ContractViolation, EvaluationError
-from .losses import gfy_loss
-from .numerics import as_vec, rng_from_seed
+from .numerics import as_rows, as_vec, assert_finite, rng_from_seed, row_values, stack
 from .regularizers import Regularizer
 
 MAX_ENUM_LABELS = 20
@@ -75,12 +79,11 @@ def hamming_decomposition(k: int) -> AffineDecomposition:
 
 
 def decode(p, dec: AffineDecomposition) -> np.ndarray:
-    """``argmin_{y_hat} <y_hat, V p + b>`` by enumeration; ties take the
-    earliest label in all-zeros-first order."""
-    p = as_vec(p)
+    """``argmin_{y_hat} <y_hat, V p + b>`` by enumeration, for one point or each
+    row of ``(B, k)``; ties take the earliest label in all-zeros-first order."""
     labels = enumerate_labels(dec.k)
-    scores = np.array([float(y @ (dec.V @ p + dec.b)) for y in labels])
-    return labels[int(np.argmin(scores))].copy()
+    scores = np.vecdot((np.matvec(dec.V, as_rows(p)) + dec.b)[..., None, :], labels)
+    return labels[np.argmin(scores, axis=-1)]
 
 
 def hamming_decode(P) -> np.ndarray:
@@ -107,42 +110,49 @@ def _check_distribution(q: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(q, 0.0)
 
 
-def target_pointwise_risk(dec: AffineDecomposition, y_hat, q) -> float:
+def target_pointwise_risk(dec: AffineDecomposition, y_hat, q):
+    """``E_{y~q} L(y_hat, y)`` of one label, or of each row of ``(B, k)``."""
     labels = enumerate_labels(dec.k)
     q = _check_distribution(q, len(labels))
-    return float(sum(qi * dec.loss(y_hat, y) for qi, y in zip(q, labels)))
+    y_hat = as_rows(y_hat)
+    total = 0.0
+    for qi, y in zip(q, labels):
+        total = total + qi * (np.vecdot(y_hat, dec.V @ y + dec.b) + float(dec.c(y)))
+    return row_values(total)
 
 
-def target_excess(dec: AffineDecomposition, y_hat, q) -> float:
+def target_excess(dec: AffineDecomposition, y_hat, q):
+    """Target risk of one label, or of each row, above the Bayes risk."""
     labels = enumerate_labels(dec.k)
-    risks = [target_pointwise_risk(dec, y, q) for y in labels]
-    return target_pointwise_risk(dec, y_hat, q) - min(risks)
+    return target_pointwise_risk(dec, y_hat, q) - float(np.min(target_pointwise_risk(dec, labels, q)))
 
 
-def surrogate_pointwise_risk(
-    energy: Energy, reg: Regularizer, v, q, cfg: SolverConfig | None = None
-) -> float:
+def _loss_mixture(energy: Energy, reg: Regularizer, v, q, conj):
+    # E_q [Omega^Phi(v) + Omega(y) - Phi(v, y)] from solved conjugate values, label by
+    # label in label order, so that each row rounds as the q-mixture of its gfy_loss values
     labels = enumerate_labels(energy.k)
     q = _check_distribution(q, len(labels))
+    if not reg.domain.contains(labels[q > 0.0]).all():
+        raise ContractViolation("target lies outside the regularizer domain")
     total = 0.0
     for qi, y in zip(q, labels):
         if qi > 0.0:
-            total += qi * gfy_loss(energy, reg, v, y, cfg).value
-    return total
+            total = total + qi * (conj + reg.value(y) - energy.value(v, y))
+    return row_values(assert_finite(total, "surrogate risk"))
+
+
+def surrogate_pointwise_risk(energy: Energy, reg: Regularizer, v, q, cfg: SolverConfig | None = None):
+    """``E_{y~q} loss(v, y)`` of one input, or of each row of a batched input, from one solve."""
+    return _loss_mixture(energy, reg, v, q, conjugate(energy, reg, v, cfg).value)
 
 
 def _bayes_surrogate_risk_bilinear(reg: Regularizer, q: np.ndarray, labels: np.ndarray) -> float:
     # E_q Omega(Y) - Omega(mu): the risk at any v whose argmax equals the mean.
-    mu = q @ labels
-    return float(sum(qi * reg.value(y) for qi, y in zip(q, labels)) - reg.value(mu))
+    return float(sum(qi * reg.value(y) for qi, y in zip(q, labels)) - reg.value(q @ labels))
 
 
 def _bayes_surrogate_risk_pairwise(
-    reg: Regularizer,
-    q: np.ndarray,
-    labels: np.ndarray,
-    cfg: SolverConfig | None,
-    seed: int,
+    reg: Regularizer, q: np.ndarray, labels: np.ndarray, cfg: SolverConfig | None, seed: int
 ) -> float:
     # Minimize the pointwise surrogate risk over (u, U = -A A^T) with the
     # envelope gradient; multistart keeps the estimate honest.
@@ -176,10 +186,7 @@ def _bayes_surrogate_risk_pairwise(
 
 
 def estimate_smoothness(
-    energy: Energy,
-    reg: Regularizer,
-    v_samples: Sequence,
-    cfg: SolverConfig | None = None,
+    energy: Energy, reg: Regularizer, v_samples: Sequence, cfg: SolverConfig | None = None
 ) -> float:
     """Largest sampled gradient-difference ratio of the surrogate risk, inflated.
 
@@ -188,18 +195,20 @@ def estimate_smoothness(
     """
     if len(v_samples) < 2:
         raise ContractViolation("need at least two samples to estimate smoothness")
-    embeds = []
-    flats = []
-    for v in v_samples:
-        p = conjugate(energy, reg, v, cfg).argmax
-        embeds.append(np.concatenate([p, 0.5 * np.outer(p, p).ravel()]))
-        flats.append(energy.input_to_vec(v))
+    return _smoothness(energy, v_samples, conjugate(energy, reg, stack(list(v_samples)), cfg).argmax)
+
+
+def _smoothness(energy: Energy, v_samples: Sequence, P: np.ndarray) -> float:
+    # each pair's ratio ||phi(p_i) - phi(p_j)|| / ||v_i - v_j||, one row of pairs per i
+    embeds = np.concatenate([P, 0.5 * (P[:, :, None] * P[:, None, :]).reshape(len(P), -1)], axis=1)
+    flats = np.stack([energy.input_to_vec(v) for v in v_samples])
     ratio = 0.0
-    for i in range(len(flats)):
-        for j in range(i + 1, len(flats)):
-            dv = float(np.linalg.norm(flats[i] - flats[j]))
-            if dv > 1e-9:
-                ratio = max(ratio, float(np.linalg.norm(embeds[i] - embeds[j])) / dv)
+    for i in range(len(flats) - 1):
+        df, de = flats[i] - flats[i + 1 :], embeds[i] - embeds[i + 1 :]
+        dv = np.sqrt(np.vecdot(df, df))
+        far = dv > 1e-9
+        if far.any():
+            ratio = max(ratio, float(np.max(np.sqrt(np.vecdot(de[far], de[far])) / dv[far])))
     return SMOOTHNESS_INFLATION * ratio
 
 
@@ -228,12 +237,16 @@ def calibration_check(
     slack: float = 1e-6,
     seed: int = 0,
 ) -> CalibrationReport:
-    """Verify ``xi(target excess) <= surrogate excess + slack`` sample by sample."""
+    """Verify ``xi(target excess) <= surrogate excess + slack`` at each sample."""
     if slack < 0:
         raise ContractViolation(f"slack must be >= 0, got {slack}")
+    least = 2 if isinstance(energy, PairwiseEnergy) else 1  # the pairwise smoothness is sampled from pairs
+    if len(v_samples) < least:
+        raise ContractViolation(f"need at least {least} input samples, got {len(v_samples)}")
     labels = enumerate_labels(energy.k)
     q = _check_distribution(q, len(labels))
     dec = dec or hamming_decomposition(energy.k)
+    V = stack(list(v_samples))
     if isinstance(energy, BilinearEnergy):
         if not np.array_equal(energy.U, np.eye(energy.k)):
             raise ContractViolation("bilinear calibration checks assume the identity coupling")
@@ -241,9 +254,11 @@ def calibration_check(
         if reg.strong_convexity <= 0:
             raise ContractViolation("need a strongly convex regularizer")
         M = 1.0 / reg.strong_convexity
+        res = conjugate(energy, reg, V, cfg)
     elif isinstance(energy, PairwiseEnergy):
         bayes = _bayes_surrogate_risk_pairwise(reg, q, labels, cfg, seed)
-        M = estimate_smoothness(energy, reg, v_samples, cfg)
+        res = conjugate(energy, reg, V, cfg)
+        M = _smoothness(energy, v_samples, res.argmax)
     else:
         raise ContractViolation("calibration checks support bilinear and pairwise couplings")
     if not (M > 0 and math.isfinite(M)):
@@ -252,32 +267,16 @@ def calibration_check(
             "(the sampled estimate is 0 when no sampled input moves the argmax)"
         )
 
-    target_bayes = min(target_pointwise_risk(dec, y, q) for y in labels)
-    rows = []
-    worst = math.inf
-    passed = True
-    for v in v_samples:
-        p_star = conjugate(energy, reg, v, cfg).argmax
-        y_hat = decode(p_star, dec)
-        d_target = target_pointwise_risk(dec, y_hat, q) - target_bayes
-        d_surr = surrogate_pointwise_risk(energy, reg, v, q, cfg) - bayes
-        xi = comparison_bound(d_target, dec.sigma, M)
-        ok = xi <= d_surr + slack
-        worst = min(worst, d_surr + slack - xi)
-        passed = passed and ok
-        rows.append(
-            {
-                "target_excess": d_target,
-                "surrogate_excess": d_surr,
-                "xi": xi,
-                "ok": ok,
-            }
-        )
+    d_target = target_excess(dec, decode(res.argmax, dec), q)
+    d_surr = _loss_mixture(energy, reg, V, q, res.value) - bayes
+    xi = comparison_bound(d_target, dec.sigma, M)
+    ok = xi <= d_surr + slack
+    columns = zip(d_target.tolist(), d_surr.tolist(), xi.tolist(), ok.tolist())
     return CalibrationReport(
-        rows=rows,
+        rows=[{"target_excess": t, "surrogate_excess": s, "xi": x, "ok": o} for t, s, x, o in columns],
         sigma=dec.sigma,
         M=float(M),
         bayes_surrogate_risk=bayes,
-        passed=passed,
-        worst_slack=worst,
+        passed=bool(ok.all()),
+        worst_slack=float(np.min(d_surr + slack - xi)),
     )

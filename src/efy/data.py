@@ -97,6 +97,8 @@ def parse_libsvm_multilabel(
                 val = float(val_s)
             except ValueError:
                 raise ParseError(f"line {lineno}: bad feature token {tok!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(f"line {lineno}: feature value in {tok!r} is not finite")
             if idx < 1:
                 raise ParseError(f"line {lineno}: feature index {idx} is not 1-based")
             if n_features is not None and idx > n_features:

@@ -22,8 +22,7 @@ Rows are the batch axis: a batched input has a leading ``B`` axis on every
 leaf (as :class:`~efy.models.Model` ``forward`` makes it), outputs are then
 ``(B, k)``, and ``value``, ``grad_p`` and ``grad_v`` answer row by row with a
 ``(B,)`` value and batched gradients; one output ``p`` broadcasts over a
-batched input. The bilinear, linear-quadratic, pairwise, rectifier and spen
-energies take batches; maxout and lse_net take one row at a time.
+batched input. Every energy takes batches.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ import numpy as np
 from scipy.special import expit
 
 from .exceptions import ContractViolation
-from .numerics import as_mat, as_rows, as_vec, flatten, rebuild, rng_from_seed, unflatten, walk
+from .numerics import as_mat, as_rows, flatten, rebuild, rng_from_seed, unflatten, walk
 from .regularizers import lse, softmax
 
 
@@ -276,13 +275,12 @@ class MaxoutEnergy(Energy):
         self.d = d
 
     def grad_v(self, v, p):
-        v = as_vec(v)
-        g = np.zeros_like(v)
-        g[int(np.argmax(v))] = float(as_vec(p)[0])
-        return g
+        v = as_rows(v)
+        first = np.arange(v.shape[-1]) == np.argmax(v, axis=-1, keepdims=True)
+        return np.where(first, as_rows(p)[..., :1], 0.0)
 
     def linear_score(self, v):
-        return np.array([float(np.max(as_vec(v)))])
+        return np.max(as_rows(v), axis=-1, keepdims=True)
 
 
 class LogSumExpEnergy(Energy):
@@ -300,10 +298,10 @@ class LogSumExpEnergy(Energy):
         self.gamma = gamma
 
     def grad_v(self, v, p):
-        return float(as_vec(p)[0]) * softmax(as_vec(v), self.gamma)
+        return as_rows(p)[..., :1] * softmax(v, self.gamma)
 
     def linear_score(self, v):
-        return np.array([lse(as_vec(v), self.gamma)])
+        return lse(v, self.gamma)[..., None]
 
 
 class SpenEnergy(Energy):

@@ -12,12 +12,12 @@ Also here: the unregularized (perceptron) and plain energy baselines, a
 linearization upper bound, the reverse construction (biconjugate), and the
 induced Bregman-style divergence between outputs.
 
-Rows are the batch axis of the four training losses: with a batched input
-``v`` and targets ``y`` (B, k), one call returns a ``(B,)`` value, the
-batched gradient and one batched conjugate solve (see
-:mod:`~efy.conjugate` for its status, the batch's least exact). A single
-row is the ``B = 1`` case. ``xent_loss`` takes its finite differences on
-the whole batch at once.
+Rows are the batch axis: with a batched input ``v`` and targets ``y``
+(B, k), each training loss returns a ``(B,)`` value, the batched gradient
+and one batched conjugate solve (see :mod:`~efy.conjugate` for its status,
+the batch's least exact); a single row is the ``B = 1`` case. ``xent_loss``
+takes its finite differences on the whole batch at once. ``biconjugate`` and
+``generalized_bregman`` solve their whole ``v_grid`` in one call.
 """
 from __future__ import annotations
 
@@ -147,10 +147,6 @@ def linearized_upper_bound(energy: Energy, reg: Regularizer, v, p) -> float:
     return fy_loss(reg, g, p)
 
 
-def _omega_fn(omega) -> Callable:
-    return omega.value if isinstance(omega, Regularizer) else omega
-
-
 def biconjugate(
     energy: Energy,
     omega,
@@ -170,15 +166,15 @@ def biconjugate(
     v_grid = list(v_grid)
     if not v_grid:
         raise ContractViolation("v_grid must be non-empty")
+    V = stack(v_grid)
     if p_grid is None:
         if not isinstance(omega, Regularizer):
             raise ContractViolation("without p_grid, omega must be a Regularizer")
-        conj_value = lambda v: conjugate(energy, omega, v, cfg).value
+        conj = conjugate(energy, omega, V, cfg).value
     else:
-        p_grid = list(p_grid)
-        omega_val = _omega_fn(omega)
-        conj_value = lambda v: max(energy.value(v, q) - omega_val(q) for q in p_grid)
-    return max(energy.value(v, p) - conj_value(v) for v in v_grid)
+        omega_val = omega.value if isinstance(omega, Regularizer) else omega
+        conj = np.max([energy.value(V, q) - omega_val(q) for q in p_grid], axis=0)
+    return float(np.max(energy.value(V, p) - conj))
 
 
 def generalized_bregman(
@@ -206,8 +202,8 @@ def generalized_bregman(
         candidates = list(v_grid)
         if not candidates:
             raise ContractViolation("v_grid must be non-empty")
-        scores = [energy.value(v, p_ref) - conjugate(energy, reg, v, cfg).value for v in candidates]
-        v_ref = candidates[int(np.argmax(scores))]
+        V = stack(candidates)
+        v_ref = candidates[int(np.argmax(energy.value(V, p_ref) - conjugate(energy, reg, V, cfg).value))]
     else:
         raise ContractViolation("supply v_grid for couplings without a closed-form inner argmax")
     # paired grouping cancels exactly when p == p_ref

@@ -244,6 +244,10 @@ def hyperparam_search(
     prefer the smaller ridge weight, then the smaller learning rate. The
     holdout split is fixed by the base seed, so the search is deterministic.
     """
+    l2_grid, lr_grid, seeds = tuple(l2_grid), tuple(lr_grid), tuple(seeds)  # the inner ones are walked once per cell
+    for name, grid in (("l2_grid", l2_grid), ("lr_grid", lr_grid), ("seeds", seeds)):
+        if not grid:
+            raise ContractViolation(f"hyperparameter search needs a non-empty {name}")
     fit_ds, dev_ds = split(ds, (1.0 - HOLDOUT_FRACTION, HOLDOUT_FRACTION), seed=base_cfg.seed)
     table = []
     best_key = None

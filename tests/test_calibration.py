@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from efy import calibration, losses
 from efy import (
     BilinearEnergy,
     ContractViolation,
@@ -11,11 +12,14 @@ from efy import (
     SolverConfig,
     SquaredL2,
     accuracy,
+    biconjugate,
     calibration_check,
     comparison_bound,
+    conjugate,
     decode,
     enumerate_labels,
     estimate_smoothness,
+    generalized_bregman,
     gfy_loss,
     hamming_decode,
     hamming_decomposition,
@@ -59,9 +63,10 @@ class TestDecode:
     def test_generic_decode_matches_fast_path(self):
         rng = rng_from_seed(0)
         dec = hamming_decomposition(2)
-        for _ in range(1000):
-            p = rng.uniform(0, 1, size=2)
+        P = rng.uniform(0, 1, size=(1000, 2))
+        for p in P:
             np.testing.assert_array_equal(decode(p, dec), hamming_decode(p))
+        np.testing.assert_array_equal(decode(P, dec), hamming_decode(P))
 
 
 class TestAccuracy:
@@ -89,6 +94,14 @@ class TestRisks:
             v = rng.standard_normal(2)
             direct = sum(qi * gfy_loss(energy, reg, v, y).value for qi, y in zip(q, labels))
             assert surrogate_pointwise_risk(energy, reg, v, q) == pytest.approx(direct)
+        # a stacked batch: each row is its own loss mixture, bit for bit
+        V = rng.standard_normal((6, 2))
+        batched = surrogate_pointwise_risk(energy, reg, V, q)
+        assert batched.shape == (6,)
+        for v, got in zip(V, batched):
+            direct = sum(qi * gfy_loss(energy, reg, v, y).value for qi, y in zip(q, labels))
+            assert got == direct
+            assert surrogate_pointwise_risk(energy, reg, v, q) == direct
 
     def test_distribution_validated(self):
         energy = BilinearEnergy(np.eye(2))
@@ -130,6 +143,24 @@ class TestSmoothnessEstimate:
         vs = [np.zeros(2), np.array([0.1, 0.0]), np.array([0.0, 0.2])]
         got = estimate_smoothness(energy, reg, vs)
         assert got >= 2.0
+
+    def test_matches_the_pair_loop_bit_for_bit(self):
+        rng = rng_from_seed(12)
+        energy, reg = PairwiseEnergy(2), GiniBinary(1.0, 2)
+        vs = [PairwiseInput(u=rng.uniform(-2, 2, size=2), U=random_nsd(rng, 2)) for _ in range(30)]
+        vs.append(vs[3])  # a repeated input is skipped, not divided by zero
+        embeds, flats = [], []
+        for v in vs:
+            p = conjugate(energy, reg, v).argmax
+            embeds.append(np.concatenate([p, 0.5 * np.outer(p, p).ravel()]))
+            flats.append(energy.input_to_vec(v))
+        ratio = 0.0
+        for i in range(len(vs)):
+            for j in range(i + 1, len(vs)):
+                dv = float(np.linalg.norm(flats[i] - flats[j]))
+                if dv > 1e-9:
+                    ratio = max(ratio, float(np.linalg.norm(embeds[i] - embeds[j])) / dv)
+        assert estimate_smoothness(energy, reg, vs) == 2.0 * ratio
 
     def test_needs_two_samples(self):
         with pytest.raises(ContractViolation):
@@ -187,6 +218,12 @@ class TestCalibrationCheck:
         assert report.passed
         assert report.M > 0.0
 
+    def test_empty_input_set_is_refused(self):
+        q = np.full(4, 0.25)
+        for energy in (BilinearEnergy(np.eye(2)), PairwiseEnergy(2)):
+            with pytest.raises(ContractViolation, match="at least"):
+                calibration_check(energy, GiniBinary(1.0, 2), q, [])
+
     def test_unsupported_configurations(self):
         with pytest.raises(ContractViolation):
             calibration_check(
@@ -199,3 +236,49 @@ class TestCalibrationCheck:
                 np.full(4, 0.25),
                 [np.zeros(2)],
             )
+
+
+class TestOneSolvePerInputSet:
+    """Every input set is one batch: one conjugate call solves all its inputs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def spy(energy, reg, v, cfg=None, **kwargs):
+            seen.append(v)
+            return conjugate(energy, reg, v, cfg, **kwargs)
+
+        monkeypatch.setattr(calibration, "conjugate", spy)
+        monkeypatch.setattr(losses, "conjugate", spy)
+        return seen
+
+    def test_calibration_and_risks(self, calls):
+        rng = rng_from_seed(8)
+        reg = GiniBinary(1.0, 2)
+        q = rng.dirichlet(np.ones(4))
+        vs = [rng.uniform(-2, 2, size=2) for _ in range(50)]
+        report = calibration_check(BilinearEnergy(np.eye(2)), reg, q, vs)
+        assert len(report.rows) == 50 and [np.shape(v) for v in calls] == [(50, 2)]
+        calls.clear()
+        surrogate_pointwise_risk(BilinearEnergy(np.eye(2)), reg, np.stack(vs), q)
+        assert len(calls) == 1
+        calls.clear()
+        pairs = [PairwiseInput(u=rng.uniform(-2, 2, size=2), U=random_nsd(rng, 2)) for _ in range(12)]
+        estimate_smoothness(PairwiseEnergy(2), reg, pairs)
+        assert [v.u.shape for v in calls] == [(12, 2)]
+        calls.clear()
+        # the Bayes-risk minimization solves one input per objective evaluation
+        calibration_check(PairwiseEnergy(2), reg, q, pairs)
+        assert [v.u.shape for v in calls if v.u.ndim == 2] == [(12, 2)]
+
+    def test_biconjugate_and_divergence_grids(self, calls):
+        rng = rng_from_seed(9)
+        reg = GiniBinary(1.0, 2)
+        v_grid = list(rng.standard_normal((30, 2)))
+        biconjugate(BilinearEnergy(np.eye(2)), reg, np.array([0.3, 0.6]), v_grid)
+        assert [np.shape(v) for v in calls] == [(30, 2)]
+        calls.clear()
+        grid = [PairwiseInput(u=rng.uniform(-2, 2, size=2), U=random_nsd(rng, 2)) for _ in range(7)]
+        generalized_bregman(PairwiseEnergy(2), reg, np.array([0.2, 0.9]), np.array([0.6, 0.3]), v_grid=grid)
+        assert [v.u.shape for v in calls] == [(7, 2)]

@@ -406,6 +406,18 @@ def test_an_unwritable_train_output_file_exits_two(tmp_path, capsys, name):
     assert err.startswith("error:") and str(tmp_path / "run" / name) in err
 
 
+@pytest.mark.parametrize("architecture", ["unary", "pairwise"])
+def test_a_non_finite_feature_value_exits_two_naming_its_line(tmp_path, capsys, architecture):
+    # it used to parse, and training then failed on a misleading solver or divergence error
+    (tmp_path / "data.txt").write_text(LIBSVM_TEXT + "1 1:nan 2:1\n")
+    spec = synthetic_train_config(tmp_path)
+    spec["dataset"] = {"path": str(tmp_path / "data.txt")}
+    spec["model"]["architecture"] = architecture
+    cfg = write_config(tmp_path, "c.json", spec)
+    assert main(["train", "--config", cfg]) == 2
+    assert "line 5" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_empty_training_part_is_rejected_before_it_is_standardized(tmp_path, capsys):
     spec = synthetic_train_config(tmp_path)

@@ -51,6 +51,11 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1"):
             parse_libsvm_multilabel("3 1:1.0", n_labels=2)
 
+    def test_non_finite_feature_values_are_refused(self):
+        for value in ("nan", "inf", "-inf", "1e999"):
+            with pytest.raises(ParseError, match="line 2.*not finite"):
+                parse_libsvm_multilabel(f"1 1:1.0\n1 1:{value} 2:1")
+
     def test_empty_input_needs_declared_dims(self):
         with pytest.raises(ParseError):
             parse_libsvm_multilabel("")

@@ -12,12 +12,13 @@ from efy import (
     PairwiseInput,
     RectifierEnergy,
     SpenEnergy,
+    conjugate,
     is_negative_semidefinite,
     lse,
     rel_err,
     rng_from_seed,
 )
-from efy.numerics import finite_diff_grad
+from efy.numerics import finite_diff_grad, row, stack, walk
 
 from support import FAMILIES, pairwise_input, sample_instance
 
@@ -219,3 +220,28 @@ class TestConstructionContracts:
         np.testing.assert_allclose(
             energy.input_to_vec(s), energy.input_to_vec(a) - energy.input_to_vec(b)
         )
+
+
+def assert_same_tree(got, want):
+    for (name, a), (other, b) in zip(walk(got), walk(want), strict=True):
+        assert name == other and np.array_equal(a, b), name
+
+
+class TestRows:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_stack_answers_as_each_row_alone(self, family):
+        rng = rng_from_seed(31)
+        energy, reg, v, _ = sample_instance(family, rng)
+        vs = [v, energy.random_input(rng), energy.random_input(rng)]
+        ps = [rng.uniform(0.05, 0.95, size=energy.k) for _ in vs]
+        V, P = stack(vs), np.stack(ps)
+        value, grad_p, grad_v = energy.value(V, P), energy.grad_p(V, P), energy.grad_v(V, P)
+        res = conjugate(energy, reg, V)
+        for i, (v, p) in enumerate(zip(vs, ps)):
+            assert value[i] == energy.value(v, p)
+            np.testing.assert_array_equal(grad_p[i], energy.grad_p(v, p))
+            assert_same_tree(row(grad_v, i), energy.grad_v(v, p))
+            alone = conjugate(energy, reg, v)
+            assert res.value[i] == alone.value
+            np.testing.assert_array_equal(res.argmax[i], alone.argmax)
+            assert_same_tree(row(res.envelope_grad, i), alone.envelope_grad)

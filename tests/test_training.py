@@ -261,6 +261,15 @@ class TestHyperparamSearch:
         assert len(out.table) == 4
 
 
+    def test_empty_grids_are_refused(self):
+        ds = small_dataset(n=12)
+        model = make_model("unary", d=4, k=2, hidden=2)
+        base = TrainConfig(epochs=1, batch_size=4, seed=0)
+        for name in ("l2_grid", "lr_grid", "seeds"):
+            with pytest.raises(ContractViolation, match=name):
+                hyperparam_search(model, GiniBinary(1.0, 2), ds, base, **{name: ()})
+
+
 class TestConfigValidation:
     def test_rejections(self):
         with pytest.raises(ContractViolation):
