@@ -65,8 +65,9 @@ class AffineDecomposition:
         self.k = self.b.size
         self.sigma = max(float(np.linalg.norm(self.V.T @ y)) for y in enumerate_labels(self.k))
 
-    def loss(self, y_hat, y) -> float:
-        return float(as_vec(y_hat) @ (self.V @ as_vec(y) + self.b)) + float(self.c(as_vec(y)))
+    def loss(self, y_hat, y):
+        """``L(y_hat, y)`` of one label ``y_hat``, or of each row of ``(B, k)``."""
+        return row_values(np.vecdot(as_rows(y_hat), self.V @ as_vec(y) + self.b) + float(self.c(as_vec(y))))
 
 
 def hamming_decomposition(k: int) -> AffineDecomposition:
@@ -114,11 +115,7 @@ def target_pointwise_risk(dec: AffineDecomposition, y_hat, q):
     """``E_{y~q} L(y_hat, y)`` of one label, or of each row of ``(B, k)``."""
     labels = enumerate_labels(dec.k)
     q = _check_distribution(q, len(labels))
-    y_hat = as_rows(y_hat)
-    total = 0.0
-    for qi, y in zip(q, labels):
-        total = total + qi * (np.vecdot(y_hat, dec.V @ y + dec.b) + float(dec.c(y)))
-    return row_values(total)
+    return row_values(sum(qi * dec.loss(y_hat, y) for qi, y in zip(q, labels)))
 
 
 def target_excess(dec: AffineDecomposition, y_hat, q):
@@ -148,11 +145,16 @@ def surrogate_pointwise_risk(energy: Energy, reg: Regularizer, v, q, cfg: Solver
 
 def _bayes_surrogate_risk_bilinear(reg: Regularizer, q: np.ndarray, labels: np.ndarray) -> float:
     # E_q Omega(Y) - Omega(mu): the risk at any v whose argmax equals the mean.
-    return float(sum(qi * reg.value(y) for qi, y in zip(q, labels)) - reg.value(q @ labels))
+    mu = q @ labels
+    return float(sum(qi * reg.value(y) for qi, y in zip(q, labels)) - reg.value(mu))
 
 
 def _bayes_surrogate_risk_pairwise(
-    reg: Regularizer, q: np.ndarray, labels: np.ndarray, cfg: SolverConfig | None, seed: int
+    reg: Regularizer,
+    q: np.ndarray,
+    labels: np.ndarray,
+    cfg: SolverConfig | None,
+    seed: int,
 ) -> float:
     # Minimize the pointwise surrogate risk over (u, U = -A A^T) with the
     # envelope gradient; multistart keeps the estimate honest.
@@ -240,13 +242,10 @@ def calibration_check(
     """Verify ``xi(target excess) <= surrogate excess + slack`` at each sample."""
     if slack < 0:
         raise ContractViolation(f"slack must be >= 0, got {slack}")
-    least = 2 if isinstance(energy, PairwiseEnergy) else 1  # the pairwise smoothness is sampled from pairs
-    if len(v_samples) < least:
-        raise ContractViolation(f"need at least {least} input samples, got {len(v_samples)}")
+    V = stack(list(v_samples))
     labels = enumerate_labels(energy.k)
     q = _check_distribution(q, len(labels))
     dec = dec or hamming_decomposition(energy.k)
-    V = stack(list(v_samples))
     if isinstance(energy, BilinearEnergy):
         if not np.array_equal(energy.U, np.eye(energy.k)):
             raise ContractViolation("bilinear calibration checks assume the identity coupling")
@@ -256,6 +255,8 @@ def calibration_check(
         M = 1.0 / reg.strong_convexity
         res = conjugate(energy, reg, V, cfg)
     elif isinstance(energy, PairwiseEnergy):
+        if len(v_samples) < 2:
+            raise ContractViolation("need at least two samples to estimate smoothness")
         bayes = _bayes_surrogate_risk_pairwise(reg, q, labels, cfg, seed)
         res = conjugate(energy, reg, V, cfg)
         M = _smoothness(energy, v_samples, res.argmax)

@@ -163,10 +163,7 @@ def biconjugate(
     :class:`Regularizer`); passing ``p_grid`` switches both layers to explicit
     enumeration, which accepts any callable ``omega``.
     """
-    v_grid = list(v_grid)
-    if not v_grid:
-        raise ContractViolation("v_grid must be non-empty")
-    V = stack(v_grid)
+    V = stack(list(v_grid))
     if p_grid is None:
         if not isinstance(omega, Regularizer):
             raise ContractViolation("without p_grid, omega must be a Regularizer")
@@ -200,8 +197,6 @@ def generalized_bregman(
         v_ref = np.linalg.solve(energy.U.T, reg.grad(p_ref))
     elif v_grid is not None:
         candidates = list(v_grid)
-        if not candidates:
-            raise ContractViolation("v_grid must be non-empty")
         V = stack(candidates)
         v_ref = candidates[int(np.argmax(energy.value(V, p_ref) - conjugate(energy, reg, V, cfg).value))]
     else:

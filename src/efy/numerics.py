@@ -205,6 +205,8 @@ def row(tree, i: int):
 
 def stack(trees: list):
     """One batched tree from same-shaped ``trees``: each leaf gains a leading axis."""
+    if not trees:
+        raise ContractViolation("an input set must hold at least one input")
     return rebuild(trees[0], (np.stack([leaf for _, leaf in pairs]) for pairs in zip(*map(walk, trees))))
 
 

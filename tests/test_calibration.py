@@ -221,7 +221,7 @@ class TestCalibrationCheck:
     def test_empty_input_set_is_refused(self):
         q = np.full(4, 0.25)
         for energy in (BilinearEnergy(np.eye(2)), PairwiseEnergy(2)):
-            with pytest.raises(ContractViolation, match="at least"):
+            with pytest.raises(ContractViolation, match="at least one input"):
                 calibration_check(energy, GiniBinary(1.0, 2), q, [])
 
     def test_unsupported_configurations(self):

@@ -402,3 +402,7 @@ class TestGeneralizedBregman:
             generalized_bregman(
                 PairwiseEnergy(2), GiniBinary(1.0, 2), np.array([0.5, 0.5]), np.array([0.4, 0.4])
             )
+        with pytest.raises(ContractViolation, match="at least one input"):
+            generalized_bregman(
+                PairwiseEnergy(2), GiniBinary(1.0, 2), np.array([0.5, 0.5]), np.array([0.4, 0.4]), v_grid=[]
+            )
