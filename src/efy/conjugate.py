@@ -8,7 +8,8 @@ cheapest faithful solver:
 2. "quadratic_concave" (``quadratic(v) -> (A, b)``) + squared L2 over R^k
    -> one SPD solve of ``(gamma I - sym(A)) p = b``;
 3. "quadratic_concave" + quadratic negentropy over the box -> exact
-   coordinate ascent (``A`` must be negative semidefinite);
+   coordinate ascent, finished by a checked Newton step on the active set
+   its sweeps identify (``A`` must be negative semidefinite);
 4. anything else -> projected gradient ascent with Armijo backtracking.
 
 Results carry the argmax, the envelope gradient ``grad_v Phi(v, p*)`` (no
@@ -20,14 +21,16 @@ every leaf) is solved in one call. Closed forms and the SPD solve act on the
 whole batch; coordinate ascent checks the batch in one pass and sweeps all
 its rows together in numpy, each row bit for bit as it would be swept alone
 (a single row is swept on Python floats, where numpy's per-call cost would
-dominate); projected ascent steps all rows together, each with its own step,
-line search and exit. The result holds one value and argmax per row but
-three scalars for the batch: the status of its least exact row
-(``max_iters`` > ``stalled`` > ``local_only`` > ``converged`` >
-``closed_form``), the largest iteration count and the largest gap.
+dominate, and each row's Newton step is its own LAPACK solve); projected
+ascent steps all rows together, each with its own step, line search and
+exit. The result holds one value and argmax per row but three scalars for
+the batch: the status of its least exact row (``max_iters`` > ``stalled`` >
+``local_only`` > ``converged`` > ``closed_form``), the largest iteration
+count and the largest gap.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -178,6 +181,20 @@ def coordinate_ascent_box_quadratic(
     its diagonal zeroed. Every operation is element-wise, so a row's
     arithmetic does not depend on the rows beside it.
 
+    Between sweeps, a row whose bound sets ``lo = {p_j = 0}`` and
+    ``hi = {p_j = 1}`` differ from those of its last try takes a Newton step
+    on the free set ``F``. With the bound coordinates held, the maximizer is
+    ``(2 gamma I - Us)_FF^-1 (u + gamma + Us_{F,hi} 1)_F``; it is computed
+    from the iterate ``p`` as ``p_F + (2 gamma I - Us)_FF^-1 g_F``, with ``g``
+    the gradient at ``p``, by one ``np.linalg.solve`` (one LAPACK call per
+    row). The row takes the step only if its free coordinates land in the box
+    and each bound coordinate's own update there keeps it at its bound,
+    which are the KKT conditions: an accepted step lands on the unique
+    maximizer, and a rejected one costs only time. The sweeps still start
+    from the center and still decide termination, status, sweep count, final
+    move and ``trace``, so every result is a coordinate-ascent fixed point;
+    the step saves the sweeps that would crawl towards it.
+
     A batch ``u`` (B, k), ``U`` (B, k, k) is checked once (one symmetrization,
     one batched NSD test) and then swept with all rows together, in numpy over
     the row axis; a row leaves the working arrays at the sweep it converges,
@@ -214,30 +231,34 @@ def coordinate_ascent_box_quadratic(
 
 
 def _box_quadratic_parts(u: np.ndarray, Us: np.ndarray, gamma: float):
-    # u + gamma, the denominators and the columns of Us with the diagonal
-    # zeroed (Us is exactly symmetric, so its row j is its column j)
+    # u + gamma, the denominators, the columns of Us with the diagonal zeroed
+    # (Us is exactly symmetric, so its row j is its column j) and the negated
+    # Hessian 2 gamma I - Us, whose diagonal is the denominators
+    eye = np.eye(u.shape[-1])
     diag = Us.diagonal(axis1=-2, axis2=-1)
-    off = Us * (1.0 - np.eye(u.shape[-1]))
-    return u + gamma, 2.0 * gamma - diag, off
+    return u + gamma, 2.0 * gamma - diag, Us * (1.0 - eye), 2.0 * gamma * eye - Us
 
 
 def _sweep_row(u: np.ndarray, Us: np.ndarray, gamma: float, cfg: SolverConfig, trace: list | None):
     # one row from the center of the box, on Python floats, which round as
     # numpy's element-wise operations do
-    ug, denom, off = (x.tolist() for x in _box_quadratic_parts(u, Us, gamma))
+    ug, denom, off, M = _box_quadratic_parts(u, Us, gamma)
+    ug, denom, off = ug.tolist(), denom.tolist(), off.tolist()
     k = u.size
-    p, s = [0.5] * k, [0.0] * k
+    p, s, tried = [0.5] * k, [0.0] * k, None
     for col in off:
         s = [si + ci * 0.5 for si, ci in zip(s, col)]
     moved = math.inf
     for sweep in range(1, cfg.max_iters + 1):
         moved = 0.0
-        for j in range(k):
-            new = min(1.0, max(0.0, (ug[j] + s[j]) / denom[j]))
+        for j, (ugj, dj, col) in enumerate(zip(ug, denom, off)):
+            new = (ugj + s[j]) / dj
+            new = new if 0.0 < new < 1.0 else 1.0 if new >= 1.0 else 0.0  # NaN and -0.0 go to 0.0
             step = new - p[j]
             if step:  # a zero step could change s only in the sign of a zero
-                moved = max(moved, abs(step))
-                s = [si + ci * step for si, ci in zip(s, off[j])]
+                if abs(step) > moved:
+                    moved = abs(step)
+                s = [si + ci * step for si, ci in zip(s, col)]
                 p[j] = new
         if trace is not None:
             q = np.array(p)
@@ -245,20 +266,49 @@ def _sweep_row(u: np.ndarray, Us: np.ndarray, gamma: float, cfg: SolverConfig, t
             trace.append((sweep, obj, moved))
         if moved <= cfg.tol:
             return np.array(p), "converged", sweep, moved
+        if sweep < cfg.max_iters:
+            sets = [math.floor(pj) + math.ceil(pj) for pj in p]
+            if sets != tried:
+                tried = sets
+                if 1 in sets:  # a vertex has nothing to solve for
+                    p, s = _newton_row(ug, denom, off, M, p, s, [b == 1 for b in sets])
     return np.array(p), "max_iters", cfg.max_iters, moved
+
+
+def _newton_row(ug: list, denom: list, off: list, M: np.ndarray, p: list, s: list, free: list):
+    # _newton_rows for one row, its element-wise steps on Python floats;
+    # returns the new p and s, or the old ones if the step is rejected
+    g = [ugj + sj - dj * pj for ugj, sj, dj, pj in zip(ug, s, denom, p)]
+    A = M
+    if not all(free):  # padded with the identity on the bound coordinates
+        f = np.array(free)
+        A = np.where(f & f[:, None], M, np.eye(len(p)))
+    x = _solve_stack(A[None], np.array(g)[None, :, None])[0, :, 0].tolist()
+    cand = [pj + xj if fj else pj for pj, xj, fj in zip(p, x, free)]
+    sc = [0.0] * len(p)
+    for col, cj in zip(off, cand):
+        if cj:  # a zero cj could change sc only in the sign of a zero
+            sc = [si + ci * cj for si, ci in zip(sc, col)]
+    for cj, ugj, scj, dj, fj in zip(cand, ug, sc, denom, free):
+        qj = cj if fj else (ugj + scj) / dj
+        if min(1.0, max(0.0, qj)) != cj:
+            return p, s
+    return cand, sc
 
 
 def _sweep_rows(u: np.ndarray, Us: np.ndarray, gamma: float, cfg: SolverConfig):
     # every row from the center of the box, in numpy over the row axis, which
     # is kept last so that each coordinate's slice is contiguous; fmax and
-    # fmin clip NaN as the Python floats' max and min do
+    # fmin clip NaN and -0.0 to 0.0 as _sweep_row's clip does
     n, k = u.shape
     if n == 0:
         return np.empty((0, k)), "converged", 0, 0.0
-    ug, denom, off = _box_quadratic_parts(u, Us, gamma)
-    ug, denom, off = ug.T.copy(), denom.T.copy(), off.transpose(1, 2, 0).copy()
+    ug, denom, off, M = _box_quadratic_parts(u, Us, gamma)
+    ug, denom, off, M = ug.T.copy(), denom.T.copy(), off.transpose(1, 2, 0).copy(), M.transpose(1, 2, 0).copy()
     rows, P, S, steps = np.arange(n), np.full((k, n), 0.5), np.zeros((k, n)), np.empty((k, n))
     P_out, moved_out, sweeps = np.empty((k, n)), np.empty(n), np.full(n, cfg.max_iters)
+    tried = np.full((k, n), -1.0)  # the bound sets of each row's last Newton step; none yet
+    eye = np.eye(k)[..., None]
     for col in off:
         S += col * 0.5
     for sweep in range(1, cfg.max_iters + 1):
@@ -270,16 +320,62 @@ def _sweep_rows(u: np.ndarray, Us: np.ndarray, gamma: float, cfg: SolverConfig):
         moved = np.abs(steps).max(axis=0)
         done = moved <= cfg.tol
         if done.any():
-            P_out[:, rows[done]], moved_out[rows[done]], sweeps[rows[done]] = P[:, done], moved[done], sweep
+            fin = rows[done]
+            P_out[:, fin], moved_out[fin], sweeps[fin] = P[:, done], moved[done], sweep
             left = ~done
             rows, moved = rows[left], moved[left]
             if not rows.size:
                 break
-            ug, denom, off, P, S, steps = (x[..., left] for x in (ug, denom, off, P, S, steps))
+            ug, denom, off, M, P, S, steps, tried = (x[..., left] for x in (ug, denom, off, M, P, S, steps, tried))
+        if sweep < cfg.max_iters:
+            sets = np.floor(P) + np.ceil(P)  # 0 at the lower bound, 1 free, 2 at the upper
+            fresh = (sets != tried).any(axis=0)
+            if fresh.any():
+                np.copyto(tried, sets, where=fresh)
+                _newton_rows(fresh, sets == 1.0, ug, denom, off, M, eye, P, S)
     else:  # the rows still here are capped, each with its own final move
         P_out[:, rows], moved_out[rows] = P, moved
     status = "max_iters" if rows.size else "converged"
     return P_out.T.copy(), status, int(sweeps.max()), float(moved_out.max())
+
+
+def _newton_rows(fresh, free, ug, denom, off, M, eye, P, S) -> None:
+    # A Newton step for the rows where fresh is set that have a free
+    # coordinate, in place on the working arrays; the other rows are computed
+    # alongside and left as they are. With the bound coordinates held, the
+    # objective is a concave quadratic in the free ones whose Hessian is
+    # -M_FF, so p_F + M_FF^-1 g_F maximizes it, for the gradient
+    # g = u + gamma + Us p - 2 gamma p = ug + S - denom P. The system is
+    # padded to k x k with the identity on the bound coordinates, whose
+    # right-hand sides then do not reach the free ones. A row takes the step
+    # when its free coordinates land in the box and every bound coordinate's
+    # own update at the new point keeps it at its bound: the KKT conditions,
+    # so the new point is the unique maximizer.
+    g = ug + S - denom * P
+    A = np.where(free & free[:, None], M, eye)
+    x = _solve_stack(A.transpose(2, 0, 1), g.T[..., None])[..., 0].T
+    cand = np.where(free, P + x, P)
+    Sc = np.zeros_like(S)
+    for col, cj in zip(off, cand):
+        Sc += col * cj
+    q = np.where(free, cand, (ug + Sc) / denom)
+    ok = fresh & free.any(axis=0) & (np.fmin(1.0, np.fmax(0.0, q)) == cand).all(axis=0)
+    np.copyto(P, cand, where=ok)
+    np.copyto(S, Sc, where=ok)
+
+
+def _solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.linalg.solve over a stack (m, k, k) and (m, k, 1): one LAPACK gesv per
+    # matrix, so a row's solution does not depend on the rows beside it. A
+    # matrix with an exactly zero pivot gets NaN, which no step accepts.
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for i, (Ai, bi) in enumerate(zip(A, b)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[i] = np.linalg.solve(Ai, bi)
+        return x
 
 
 def _finish(energy: Energy, v, p: np.ndarray, value, status: str, iters: int, gap: float) -> ConjugateResult:

@@ -169,6 +169,9 @@ def biconjugate(
             raise ContractViolation("without p_grid, omega must be a Regularizer")
         conj = conjugate(energy, omega, V, cfg).value
     else:
+        p_grid = list(p_grid)
+        if not p_grid:
+            raise ContractViolation("p_grid must hold at least one output")
         omega_val = omega.value if isinstance(omega, Regularizer) else omega
         conj = np.max([energy.value(V, q) - omega_val(q) for q in p_grid], axis=0)
     return float(np.max(energy.value(V, p) - conj))

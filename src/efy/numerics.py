@@ -204,10 +204,23 @@ def row(tree, i: int):
 
 
 def stack(trees: list):
-    """One batched tree from same-shaped ``trees``: each leaf gains a leading axis."""
+    """One batched tree from same-shaped ``trees``: each leaf gains a leading axis.
+
+    Raises :class:`ContractViolation` on an empty list, or naming the first
+    input and leaf whose shape differs from input 0's.
+    """
     if not trees:
         raise ContractViolation("an input set must hold at least one input")
-    return rebuild(trees[0], (np.stack([leaf for _, leaf in pairs]) for pairs in zip(*map(walk, trees))))
+    try:
+        return rebuild(trees[0], (np.stack([leaf for _, leaf in pairs]) for pairs in zip(*map(walk, trees))))
+    except ValueError:
+        first = [(name, np.shape(leaf)) for name, leaf in walk(trees[0])]
+        for i, tree in enumerate(trees[1:], 1):
+            for (name, shape), (_, leaf) in zip(first, walk(tree)):
+                if np.shape(leaf) != shape:
+                    what = f"input {i}'s leaf {name}" if name else f"input {i}"
+                    raise ContractViolation(f"{what} has shape {np.shape(leaf)}; input 0's has {shape}") from None
+        raise
 
 
 def unflatten(like, vec):

@@ -224,6 +224,17 @@ class TestCalibrationCheck:
             with pytest.raises(ContractViolation, match="at least one input"):
                 calibration_check(energy, GiniBinary(1.0, 2), q, [])
 
+    def test_inputs_of_different_shapes_are_refused(self):
+        q = np.full(4, 0.25)
+        rng = rng_from_seed(5)
+        vs = [PairwiseInput(u=rng.uniform(-1, 1, size=2), U=random_nsd(rng, 2)) for _ in range(2)]
+        vs.append(PairwiseInput(u=np.zeros(2), U=np.zeros((3, 3))))
+        with pytest.raises(ContractViolation, match=r"input 2's leaf U has shape \(3, 3\); input 0's has \(2, 2\)") as err:
+            calibration_check(PairwiseEnergy(2), GiniBinary(1.0, 2), q, vs)
+        assert err.value.exit_code == 2
+        with pytest.raises(ContractViolation, match="input 1 has shape"):
+            calibration_check(BilinearEnergy(np.eye(2)), GiniBinary(1.0, 2), q, [np.zeros(2), np.zeros(3)])
+
     def test_unsupported_configurations(self):
         with pytest.raises(ContractViolation):
             calibration_check(

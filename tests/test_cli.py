@@ -150,7 +150,10 @@ class TestGradcheck:
             assert "max relative error" in capsys.readouterr().out
 
     def test_sloppy_solver_fails_the_check(self, tmp_path, capsys):
-        # negative control: a coarse inner solve cannot certify 1e-9 gradients
+        # negative control: a coarse inner solve cannot certify 1e-9 gradients.
+        # No coordinate moves more than 0.5 in the first sweep from the center,
+        # so tol 0.5 stops there, before any Newton step (at tol 1e-2 the step
+        # after that sweep already lands on the exact argmax)
         cfg = write_config(
             tmp_path,
             "c.json",
@@ -158,7 +161,7 @@ class TestGradcheck:
                 "family": "pairwise",
                 "instances": 3,
                 "tolerance": 1e-9,
-                "solver": {"tol": 1e-2},
+                "solver": {"tol": 0.5},
             },
         )
         assert main(["gradcheck", "--config", cfg]) == 4

@@ -276,12 +276,21 @@ class TestCoordinateAscent:
 
     @pytest.mark.parametrize("scale", [1e6, 1e8])
     def test_accepts_large_rank_one_couplings(self, scale):
+        # at 1e8 some Newton systems meet an exactly zero pivot; those rows
+        # skip the step, alone and in a batch alike
         rng = rng_from_seed(0)
-        for _ in range(5):
+        u, U = [], []
+        for _ in range(20):
             a = scale * rng.standard_normal(4)
-            p, status, _, _ = coordinate_ascent_box_quadratic(rng.standard_normal(4), -np.outer(a, a), 0.5)
+            u.append(rng.standard_normal(4))
+            U.append(-np.outer(a, a))
+            p, status, _, _ = coordinate_ascent_box_quadratic(u[-1], U[-1], 0.5)
             assert status == "converged"
             assert float(np.min(p)) >= 0.0 and float(np.max(p)) <= 1.0
+        P, status, _, _ = coordinate_ascent_box_quadratic(np.array(u), np.array(U), 0.5)
+        assert status == "converged"
+        for p_i, u_i, U_i in zip(P, u, U):
+            assert p_i.tobytes() == coordinate_ascent_box_quadratic(u_i, U_i, 0.5)[0].tobytes()
 
     def test_tolerates_asymmetric_coupling(self):
         # only the symmetric part matters; asymmetric inputs must not crash
@@ -303,16 +312,27 @@ class TestCoordinateAscent:
 
 
 class TestBatchAxis:
-    def rows(self):
-        # row 0 is decoupled and converges at once; row 1 is strongly coupled
+    def rows(self, scale=1.0):
+        # row 0 is decoupled and converges at once; row 1 is strongly coupled,
+        # and at scale 20 the sweeps crawl for a while before a Newton step lands
         u = np.array([[0.3, -0.1, 0.2], [1.45, 1.69, 2.33]])
-        a = np.array([1.39, -1.52, 2.84])
+        a = scale * np.array([1.39, -1.52, 2.84])
         U = np.stack([np.zeros((3, 3)), -np.outer(a, a)])
         return u, U
 
+    def test_a_newton_step_finishes_the_coupled_row(self):
+        # plain cyclic sweeps took 52 to reach tol 1e-12 on this row
+        u, U = self.rows()
+        p, status, sweeps, _ = coordinate_ascent_box_quadratic(u[1], U[1], 0.5, SolverConfig(tol=1e-12))
+        assert status == "converged" and sweeps <= 3
+        grad = u[1] + U[1] @ p - p + 0.5  # the objective's gradient at gamma = 0.5
+        free = (p > 0.0) & (p < 1.0)
+        np.testing.assert_allclose(grad[free], 0.0, atol=1e-12)
+        assert (grad[p == 0.0] <= 0.0).all() and (grad[p == 1.0] >= 0.0).all()
+
     @pytest.mark.parametrize("max_iters", [5, 10000])
     def test_coordinate_ascent_sweeps_each_row_as_alone_and_reports_the_batch(self, max_iters):
-        u, U = self.rows()
+        u, U = self.rows(scale=20.0)
         cfg = SolverConfig(tol=1e-12, max_iters=max_iters)
         singles = [coordinate_ascent_box_quadratic(u[i], U[i], 0.5, cfg) for i in range(2)]
         p, status, sweeps, gap = coordinate_ascent_box_quadratic(u, U, 0.5, cfg)

@@ -346,6 +346,19 @@ class TestBiconjugate:
         with pytest.raises(ContractViolation):
             biconjugate(BilinearEnergy(np.eye(1)), GiniBinary(1.0, 1), np.array([0.5]), [])
 
+    def test_empty_output_grid_rejected(self):
+        energy, omega = BilinearEnergy(np.eye(1)), GiniBinary(1.0, 1)
+        with pytest.raises(ContractViolation, match="p_grid") as err:
+            biconjugate(energy, omega, np.array([0.5]), [np.array([1.0])], p_grid=[])
+        assert err.value.exit_code == 2
+
+    def test_inputs_of_different_shapes_rejected(self):
+        energy, omega = BilinearEnergy(np.eye(2)), GiniBinary(1.0, 2)
+        v_grid = [np.zeros(2), np.zeros(2), np.zeros(3)]
+        for p_grid in (None, [np.full(2, 0.5)]):
+            with pytest.raises(ContractViolation, match=r"input 2 has shape \(3,\); input 0's has \(2,\)"):
+                biconjugate(energy, omega, np.full(2, 0.5), v_grid, p_grid=p_grid)
+
 
 class TestGeneralizedBregman:
     def test_identity_coupling_is_half_squared_distance(self):

@@ -12,6 +12,8 @@ regularizer's domain:
 Coordinate ascent and projected ascent on a batch, in any row order and with
 a cap that stops some rows early, give each row bit for bit its own solve and
 report the rows' largest iteration count, largest gap and least exact status.
+Coordinate ascent's answer is never below what a tight projected ascent
+reaches on the same box QP.
 
 Quadratic energies (both classes, negative semidefinite ``A``) are paired
 with the two regularizers they have an exact solve for; linear energies with
@@ -243,6 +245,36 @@ def test_coordinate_ascent_batch_rows_are_their_own_solves(case):
         assert status == batch_status([s[1] for s in singles])
         assert sweeps == max(s[2] for s in singles)
         assert gap == max(s[3] for s in singles)
+
+
+@st.composite
+def box_quadratics(draw):
+    k = draw(st.integers(1, 5))
+    return draw(arrays(float, k, elements=ENTRIES)), nsd_couplings(draw, k), draw(GAMMAS)
+
+
+@PROPERTY_SETTINGS
+@given(case=box_quadratics())
+def test_coordinate_ascent_is_never_below_tight_projected_ascent(case):
+    # the Newton steps between sweeps land only on the maximizer, so the
+    # objective never falls from sweep to sweep, and a tight projected ascent
+    # finds nothing better; it starts at the answer, where it stops at once
+    # unless it can climb (the QP is concave, so any point it cannot leave is
+    # the maximizer)
+    u, U, gamma = case
+
+    def objective(p):
+        return u @ p + 0.5 * p @ U @ p - gamma * np.sum(p * p - p)
+
+    trace = []
+    p, status, _, _ = coordinate_ascent_box_quadratic(u, U, gamma, SOLVER, trace=trace)
+    assert status == "converged" and box01(len(u)).contains(p)
+    values = [value for _, value, _ in trace]
+    assert all(b >= a - 1e-12 * (1.0 + abs(a)) for a, b in zip(values, values[1:]))
+    reference, _, _, _ = projected_gradient_ascent(
+        objective, lambda p: u + U @ p - 2.0 * gamma * p + gamma, box01(len(u)), SolverConfig(tol=1e-12), p0=p
+    )
+    assert objective(p) >= objective(reference) - 1e-9
 
 
 @st.composite
