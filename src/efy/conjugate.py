@@ -276,22 +276,27 @@ def _sweep_row(u: np.ndarray, Us: np.ndarray, gamma: float, cfg: SolverConfig, t
 
 
 def _newton_row(ug: list, denom: list, off: list, M: np.ndarray, p: list, s: list, free: list):
-    # _newton_rows for one row, its element-wise steps on Python floats;
-    # returns the new p and s, or the old ones if the step is rejected
+    # _newton_rows for one row, its element-wise steps on Python floats and
+    # its LAPACK call the one a batch makes for this row; returns the new p
+    # and s, or the old ones if the step is rejected
     g = [ugj + sj - dj * pj for ugj, sj, dj, pj in zip(ug, s, denom, p)]
     A = M
     if not all(free):  # padded with the identity on the bound coordinates
         f = np.array(free)
         A = np.where(f & f[:, None], M, np.eye(len(p)))
-    x = _solve_stack(A[None], np.array(g)[None, :, None])[0, :, 0].tolist()
+    try:
+        x = np.linalg.solve(A, np.array(g)[:, None])[:, 0].tolist()
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        return p, s
     cand = [pj + xj if fj else pj for pj, xj, fj in zip(p, x, free)]
+    if not all(0.0 <= cj <= 1.0 for cj in cand):  # NaN fails too
+        return p, s
     sc = [0.0] * len(p)
     for col, cj in zip(off, cand):
         if cj:  # a zero cj could change sc only in the sign of a zero
             sc = [si + ci * cj for si, ci in zip(sc, col)]
     for cj, ugj, scj, dj, fj in zip(cand, ug, sc, denom, free):
-        qj = cj if fj else (ugj + scj) / dj
-        if min(1.0, max(0.0, qj)) != cj:
+        if not fj and min(1.0, max(0.0, (ugj + scj) / dj)) != cj:
             return p, s
     return cand, sc
 
