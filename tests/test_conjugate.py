@@ -321,7 +321,7 @@ class TestBatchAxis:
         return u, U
 
     def test_a_newton_step_finishes_the_coupled_row(self):
-        # plain cyclic sweeps took 52 to reach tol 1e-12 on this row
+        # cyclic sweeps alone need 52 sweeps to reach tol 1e-12 on this row
         u, U = self.rows()
         p, status, sweeps, _ = coordinate_ascent_box_quadratic(u[1], U[1], 0.5, SolverConfig(tol=1e-12))
         assert status == "converged" and sweeps <= 3
