@@ -10,7 +10,10 @@ cheapest faithful solver:
 3. "quadratic_concave" + quadratic negentropy over the box -> exact
    coordinate ascent, finished by a checked Newton step on the active set
    its sweeps identify (``A`` must be negative semidefinite);
-4. anything else -> projected gradient ascent with Armijo backtracking.
+4. anything else -> projected gradient ascent with Armijo backtracking,
+   which evaluates the regularizer inside its domain: every point it
+   evaluates comes out of the domain's projection, so it skips
+   ``Regularizer.value``/``grad``'s membership test and snap.
 
 Results carry the argmax, the envelope gradient ``grad_v Phi(v, p*)`` (no
 differentiation through the argmax), and a status describing how the solve
@@ -113,6 +116,11 @@ def projected_gradient_ascent(
     ``p0`` must match. Each row keeps its own step, line search and exit, bit
     for bit as alone; a batch reports its least exact status, largest
     iteration count and largest gap. ``trace`` follows a single row.
+
+    The callables are evaluated only at points returned by
+    ``domain.project``: the center, the projected start and each trial
+    point. A trial point whose value is not finite is never accepted, and a
+    non-finite value at the start raises :class:`DivergenceError`.
     """
     p = domain.center()
     F = np.array(value_fn(p), dtype=float)
@@ -399,11 +407,15 @@ def _finish(energy: Energy, v, p: np.ndarray, value, status: str, iters: int, ga
 
 
 def _pga_objective(energy: Energy, reg: Regularizer, v):
+    # projected ascent evaluates only projected points: the snap in
+    # Regularizer.value leaves them as they are, and its membership test
+    # passes them all, save a simplex projection of entries of about 1e7 or
+    # more, whose rounded sum can miss the tolerance
     def value_fn(p):
-        return energy.value(v, p) - reg.value(p)
+        return energy.value(v, p) - reg._value_inside(p)
 
     def grad_fn(p):
-        return energy.grad_p(v, p) - reg.grad(p)
+        return energy.grad_p(v, p) - reg._grad_inside(p)
 
     return value_fn, grad_fn
 

@@ -46,6 +46,14 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
+def _score_rows(v, d: int) -> np.ndarray:
+    # the rows of an input to a d x k score matrix, refused when not d wide
+    v = as_rows(v)
+    if v.shape[-1] != d:
+        raise ContractViolation(f"input has {v.shape[-1]} coordinates, the score matrix expects {d}")
+    return v
+
+
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # np.outer of each row pair
     return a[..., :, None] * b[..., None, :]
@@ -176,7 +184,7 @@ class BilinearEnergy(Energy):
 
     def linear_score(self, v) -> np.ndarray:
         # Phi(v, p) = <score(v), p>
-        return np.matvec(self.U.T, as_rows(v))
+        return np.matvec(self.U.T, _score_rows(v, self.d))
 
 
 class LinearQuadraticEnergy(Energy):
@@ -260,7 +268,7 @@ class RectifierEnergy(Energy):
         return np.where(as_rows(v) > 0.0, np.matvec(self.U, as_rows(p)), 0.0)
 
     def linear_score(self, v):
-        return np.matvec(self.U.T, relu(as_rows(v)))
+        return np.matvec(self.U.T, relu(_score_rows(v, self.d)))
 
 
 class MaxoutEnergy(Energy):

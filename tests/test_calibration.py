@@ -235,6 +235,16 @@ class TestCalibrationCheck:
         with pytest.raises(ContractViolation, match="input 1 has shape"):
             calibration_check(BilinearEnergy(np.eye(2)), GiniBinary(1.0, 2), q, [np.zeros(2), np.zeros(3)])
 
+    def test_inputs_whose_width_misses_the_score_matrix_are_refused(self):
+        energy, reg, vs = BilinearEnergy(np.eye(2)), GiniBinary(1.0, 2), [np.zeros(3), np.zeros(3)]
+        for check in (
+            lambda: calibration_check(energy, reg, np.full(4, 0.25), vs),
+            lambda: biconjugate(energy, reg, np.array([0.5, 0.5]), vs),
+        ):
+            with pytest.raises(ContractViolation, match="input has 3 coordinates, the score matrix expects 2") as err:
+                check()
+            assert err.value.exit_code == 2
+
     def test_unsupported_configurations(self):
         with pytest.raises(ContractViolation):
             calibration_check(

@@ -11,8 +11,10 @@ from efy import (
     InfeasibleError,
     LinQuadInput,
     LinearQuadraticEnergy,
+    OutputSet,
     PairwiseEnergy,
     PairwiseInput,
+    Regularizer,
     SolverConfig,
     SpenEnergy,
     SquaredL2,
@@ -447,6 +449,30 @@ class TestProjectedGradientAscent:
         conjugate(energy, reg, energy.random_input(rng), TIGHT, trace=trace)
         objs = [row[1] for row in trace]
         assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
+
+    def test_membership_tests_do_not_grow_with_the_iterations(self, monkeypatch):
+        # every point the ascent evaluates comes out of the domain's
+        # projection, so only the result's own value tests membership
+        calls = {"contains": 0, "value": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(OutputSet, "contains", counted("contains", OutputSet.contains))
+        monkeypatch.setattr(Regularizer, "value", counted("value", Regularizer.value))
+        rng = rng_from_seed(2)
+        V = stack([pairwise_input(rng, 3) for _ in range(6)])
+        seen = []
+        for max_iters in (2, 40):
+            calls.update(contains=0, value=0)
+            res = conjugate(PairwiseEnergy(3), Indicator(box01(3)), V, SolverConfig(max_iters=max_iters, tol=1e-12))
+            seen.append((res.iters, dict(calls)))
+        assert seen[0][0] == 2 and seen[1][0] >= 20
+        assert seen[0][1] == seen[1][1]
 
     def test_unbounded_maximization_diverges(self):
         energy = PairwiseEnergy(2)

@@ -54,6 +54,13 @@ class TestValues:
         with pytest.raises(ContractViolation):
             PairwiseEnergy(2).value(pairwise_input(rng_from_seed(0), 2), [0.5])
 
+    @pytest.mark.parametrize("cls", [BilinearEnergy, RectifierEnergy])
+    def test_input_width_must_match_the_score_matrix(self, cls):
+        energy = cls(np.ones((2, 3)))
+        for v in (np.ones(3), np.ones((4, 3))):
+            with pytest.raises(ContractViolation, match="input has 3 coordinates, the score matrix expects 2"):
+                energy.value(v, np.full(3, 0.5))
+
 
 class TestGradP:
     def test_bilinear_constant_in_p(self):
