@@ -9,7 +9,8 @@ cheapest faithful solver:
    -> one SPD solve of ``(gamma I - sym(A)) p = b``;
 3. "quadratic_concave" + quadratic negentropy over the box -> exact
    coordinate ascent, finished by a checked Newton step on the active set
-   its sweeps identify (``A`` must be negative semidefinite);
+   its sweeps identify (``A`` must be negative semidefinite, which one
+   Cholesky factorization certifies for the whole batch);
 4. anything else -> projected gradient ascent with Armijo backtracking,
    which evaluates the regularizer inside its domain: every point it
    evaluates comes out of the domain's projection, so it skips
@@ -49,7 +50,7 @@ from .exceptions import (
     SingularMatrixError,
     UnsupportedOperation,
 )
-from .numerics import as_rows, assert_finite, is_negative_semidefinite, rng_from_seed, row_values, solve_spd
+from .numerics import _negative_semidefinite, as_rows, assert_finite, rng_from_seed, row_values, solve_spd
 from .regularizers import GiniBinary, Regularizer, SquaredL2
 
 MAX_LINE_SEARCH_SHRINKS = 50
@@ -203,9 +204,12 @@ def coordinate_ascent_box_quadratic(
     move and ``trace``, so every result is a coordinate-ascent fixed point;
     the step saves the sweeps that would crawl towards it.
 
-    A batch ``u`` (B, k), ``U`` (B, k, k) is checked once (one symmetrization,
-    one batched NSD test) and then swept with all rows together, in numpy over
-    the row axis; a row leaves the working arrays at the sweep it converges,
+    A batch ``u`` (B, k), ``U`` (B, k, k) is checked once: one
+    symmetrization, then one batched NSD test, which is
+    ``is_negative_semidefinite`` (a Cholesky certificate, with eigenvalues
+    only if it fails) without the symmetry test that the symmetrized coupling
+    cannot fail. It is then swept with all rows together, in numpy over the
+    row axis; a row leaves the working arrays at the sweep it converges,
     so a slow or capped row costs only itself. Each row of a batch is
     bit-identical to its own solve. It returns the ``(B, k)`` argmax with the
     batch's status, largest sweep count and largest final move; an empty
@@ -223,10 +227,10 @@ def coordinate_ascent_box_quadratic(
         raise ContractViolation("coupling matrix shape must match the unary scores")
     if trace is not None and u.ndim == 2 and len(u) > 1:
         raise ContractViolation(f"a sweep trace follows one row; this batch has {len(u)}")
-    Us = 0.5 * (U + U.swapaxes(-1, -2))
+    Us = 0.5 * (U + U.swapaxes(-1, -2))  # exactly symmetric, so not tested again
     try:
-        nsd = is_negative_semidefinite(Us)
-    except np.linalg.LinAlgError as exc:  # a non-finite coupling
+        nsd = _negative_semidefinite(Us)
+    except np.linalg.LinAlgError as exc:  # a NaN in the coupling
         raise EvaluationError(f"coupling eigenvalues did not converge: {exc}") from exc
     if not nsd.all():
         raise ContractViolation("coordinate ascent requires a negative semidefinite coupling")

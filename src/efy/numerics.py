@@ -5,7 +5,9 @@ Everything here is deterministic. Matrices are dense ``float64`` arrays;
 no sparse formats are supported. Rows are the batch axis: ``as_rows``,
 ``as_sym_mat``, ``is_negative_semidefinite`` and ``solve_spd`` take one
 vector ``(k,)`` or matrix ``(k, k)``, or a batch of them with a leading ``B``
-axis, and answer row by row.
+axis, and answer row by row. ``is_negative_semidefinite`` certifies a whole
+batch with one Cholesky factorization and computes eigenvalues only when
+that fails.
 """
 from __future__ import annotations
 
@@ -113,17 +115,40 @@ def rel_err(approx, reference) -> float:
 
 
 def is_negative_semidefinite(m):
-    """True when the largest eigenvalue of symmetric ``m`` is <= ``NSD_EIG_TOL * max(1, max|m|)``.
+    """True when the largest eigenvalue of symmetric ``m`` is <= ``tau = NSD_EIG_TOL * max(1, max|m|)``.
 
     The tolerance is relative because the rounding error of the eigenvalues
-    grows with the scale of the matrix. A batch ``(B, k, k)`` is tested in
-    one ``eigvalsh`` call, each matrix against its own scale, and gives one
-    verdict per matrix.
+    grows with the scale of the matrix. A batch ``(B, k, k)`` gives one
+    verdict per matrix, each against its own scale.
+
+    A batch is certified at once by one ``np.linalg.cholesky`` of
+    ``(tau I - m) / max(1, max|m|)``, whose entries are at most about 1, so
+    that it cannot overflow. The factorization succeeds only if every matrix
+    has its largest eigenvalue below ``tau`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 10). If it fails, the per-matrix verdicts
+    come from one ``eigvalsh`` call, which defines the test. The certificate
+    is tried only when every scale is finite, because the factorization
+    raises on neither NaN nor inf: a non-finite ``m`` gets ``eigvalsh``'s
+    verdict (False for an infinite entry) or its ``LinAlgError`` (NaN). A
+    matrix whose largest eigenvalue lies within rounding of ``tau`` may get
+    a different verdict from the two tests.
     """
-    m = as_sym_mat(m)
+    return _negative_semidefinite(as_sym_mat(m))
+
+
+def _negative_semidefinite(m: np.ndarray):
+    # is_negative_semidefinite of a float matrix, or batch, already known to be
+    # square and exactly symmetric
     if m.size == 0:
         return np.ones(m.shape[:-2], dtype=bool)[()]
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    finite = np.isfinite(scale)
+    if finite.all():
+        try:
+            np.linalg.cholesky(NSD_EIG_TOL * np.eye(m.shape[-1]) - m / scale[..., None, None])
+            return finite  # all True, one verdict per matrix
+        except np.linalg.LinAlgError:
+            pass
     return np.linalg.eigvalsh(m)[..., -1] <= NSD_EIG_TOL * scale
 
 

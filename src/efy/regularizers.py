@@ -59,6 +59,9 @@ def softmax(u, gamma: float = 1.0) -> np.ndarray:
 def _project_simplex(z: np.ndarray) -> np.ndarray:
     # Euclidean projection of each row onto the probability simplex (sort-based):
     # theta comes from the last breakpoint rho where u_rho > (sum_{i<=rho} u_i - 1) / rho.
+    # Each row is shifted by its maximum first, which leaves its projection unchanged
+    # but rounds z - theta to the precision of the row's spread, not of its magnitude.
+    z = z - np.max(z, axis=-1, keepdims=True, initial=-np.inf)
     u = np.flip(np.sort(z, axis=-1), axis=-1)
     css = np.cumsum(u, axis=-1) - 1.0
     cond = u - css / np.arange(1, z.shape[-1] + 1) > 0

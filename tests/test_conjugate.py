@@ -6,6 +6,7 @@ from efy import (
     ContractViolation,
     DivergenceError,
     Energy,
+    EvaluationError,
     GiniBinary,
     Indicator,
     InfeasibleError,
@@ -23,14 +24,18 @@ from efy import (
     conjugate,
     conjugate_with_restarts,
     coordinate_ascent_box_quadratic,
+    make_model,
     make_regularizer,
+    planted_pairwise,
+    predict_marginals,
     projected_gradient_ascent,
     reals,
     rng_from_seed,
+    simplex,
 )
 
 from efy.conjugate import batch_status
-from efy.numerics import rebuild, row, stack, walk
+from efy.numerics import NSD_EIG_TOL, rebuild, row, stack, walk
 
 from support import (
     FAMILIES,
@@ -294,6 +299,49 @@ class TestCoordinateAscent:
         for p_i, u_i, U_i in zip(P, u, U):
             assert p_i.tobytes() == coordinate_ascent_box_quadratic(u_i, U_i, 0.5)[0].tobytes()
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e8])
+    def test_nsd_verdict_around_the_tolerance(self, scale):
+        # as in test_numerics: the coupling's largest eigenvalue is c tau
+        G = rng_from_seed(3).standard_normal((4, 3))
+        U = -scale * (G @ G.T)
+        tau = NSD_EIG_TOL * max(1.0, float(np.abs(U).max()))
+        near, far = U + 0.5 * tau * np.eye(4), U + 2.0 * tau * np.eye(4)
+        cfg = SolverConfig(max_iters=3)  # only the check matters here
+        coordinate_ascent_box_quadratic(np.zeros(4), near, 0.5, cfg)
+        coordinate_ascent_box_quadratic(np.zeros((2, 4)), np.stack([near, near]), 0.5, cfg)
+        for U_bad in (far, np.stack([near, far])):
+            with pytest.raises(ContractViolation, match="negative semidefinite"):
+                coordinate_ascent_box_quadratic(np.zeros(U_bad.shape[:-1]), U_bad, 0.5, cfg)
+
+    def test_non_finite_couplings_keep_their_errors(self):
+        inf, nan = -np.diag([np.inf, 1.0, 1.0]), np.full((3, 3), np.nan)
+        for U, error in ((inf, ContractViolation), (nan, EvaluationError)):
+            with pytest.raises(error):
+                coordinate_ascent_box_quadratic(np.zeros(3), U, 0.5)
+            with pytest.raises(error):
+                coordinate_ascent_box_quadratic(np.zeros((2, 3)), np.stack([-np.eye(3), U]), 0.5)
+
+    def test_an_nsd_batch_is_certified_without_eigenvalues(self, monkeypatch):
+        ds = planted_pairwise(500, 6, 5, seed=3)
+        model = make_model("pairwise", d=6, k=5, hidden=4)
+        params, reg = model.init_params(0), GiniBinary(0.5, 5)
+        eigvalsh, shapes = np.linalg.eigvalsh, []
+
+        def counted(m):
+            shapes.append(np.shape(m))
+            return eigvalsh(m)
+
+        def refused(m):
+            raise np.linalg.LinAlgError("refused")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        certified = predict_marginals(model, params, reg, ds.X)
+        assert shapes == []
+        monkeypatch.setattr(np.linalg, "cholesky", refused)
+        fallback = predict_marginals(model, params, reg, ds.X)
+        assert shapes == [(500, 5, 5)]
+        assert fallback.tobytes() == certified.tobytes()
+
     def test_tolerates_asymmetric_coupling(self):
         # only the symmetric part matters; asymmetric inputs must not crash
         U = np.array([[-1.0, 0.3], [0.1, -1.0]])
@@ -473,6 +521,19 @@ class TestProjectedGradientAscent:
             seen.append((res.iters, dict(calls)))
         assert seen[0][0] == 2 and seen[1][0] >= 20
         assert seen[0][1] == seen[1][1]
+
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("kind", ["squared_l2", "indicator"])
+    def test_simplex_solves_at_large_offsets(self, kind, k):
+        # entries sharing an offset of 1e7 or more project onto the simplex
+        # exactly, so no trial point of the ascent leaves it
+        rng = rng_from_seed(5)
+        reg = make_regularizer(kind, k, domain=simplex(k))
+        for offset in (1e7, 1e8, 1e10, 1e12):
+            v = PairwiseInput(u=offset + rng.standard_normal((10, k)), U=np.broadcast_to(-np.eye(k), (10, k, k)))
+            res = conjugate(PairwiseEnergy(k), reg, v, SolverConfig(tol=1e-9, max_iters=500))
+            assert reg.domain.contains(res.argmax).all()
+            assert np.isfinite(res.value).all()
 
     def test_unbounded_maximization_diverges(self):
         energy = PairwiseEnergy(2)

@@ -15,6 +15,7 @@ from efy import (
     reals,
 )
 from efy.numerics import (
+    NSD_EIG_TOL,
     finite_diff_grad,
     flatten,
     is_negative_semidefinite,
@@ -100,6 +101,42 @@ class TestIsNegativeSemidefinite:
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ContractViolation):
             is_negative_semidefinite(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e8])
+    def test_verdict_around_the_tolerance(self, scale):
+        # -G G^T with G of shape k x (k-1) has its largest eigenvalue at exactly
+        # 0, so c tau I moves it to c tau: inside the tolerance at c = 0.5, past it at 2
+        G = rng_from_seed(3).standard_normal((4, 3))
+        m = -scale * (G @ G.T)
+        m = 0.5 * (m + m.T)
+        tau = NSD_EIG_TOL * max(1.0, float(np.abs(m).max()))
+        near, far = m + 0.5 * tau * np.eye(4), m + 2.0 * tau * np.eye(4)
+        assert is_negative_semidefinite(near)
+        assert not is_negative_semidefinite(far)
+        assert is_negative_semidefinite(np.stack([near, near])).tolist() == [True, True]
+        assert is_negative_semidefinite(np.stack([near, far])).tolist() == [True, False]
+
+    def test_empty_batch(self):
+        verdicts = is_negative_semidefinite(np.zeros((0, 3, 3)))
+        assert verdicts.shape == (0,) and verdicts.dtype == bool
+        assert is_negative_semidefinite(np.zeros((0, 0))) is np.True_
+
+    def test_entries_at_the_float_limit(self):
+        # tau I - m overflows here unless it is taken over the matrix's scale
+        big = np.finfo(float).max
+        assert not is_negative_semidefinite(np.array([[-big, 1e308], [1e308, 0.0]]))
+        assert is_negative_semidefinite(np.array([[-big, 0.0], [0.0, -1.0]]))
+
+    def test_non_finite_entries_keep_the_eigenvalue_verdict(self):
+        # a Cholesky factorization raises on neither an inf nor a NaN entry,
+        # so neither may be certified by one
+        inf = -np.diag([np.inf, 1.0, 1.0])
+        assert not is_negative_semidefinite(inf)
+        assert is_negative_semidefinite(np.stack([-np.eye(3), inf])).tolist() == [True, False]
+        with pytest.raises(np.linalg.LinAlgError):
+            is_negative_semidefinite(np.full((3, 3), np.nan))
+        with pytest.raises(np.linalg.LinAlgError):
+            is_negative_semidefinite(np.stack([-np.eye(3), np.full((3, 3), np.nan)]))
 
 
 class TestSolveSpd:

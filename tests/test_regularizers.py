@@ -59,6 +59,15 @@ class TestOutputSet:
         p = dom.project(np.array([1.0, 2.0, -5.0]))
         assert abs(p.sum() - 1.0) <= 1e-12 and np.all(p >= 0)
 
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_simplex_projection_at_large_offsets(self, k):
+        # the projection is exact to the rows' spread, whatever their magnitude
+        rng = rng_from_seed(4)
+        for offset in (1e7, 1e8, 1e10, 1e12):
+            p = simplex(k).project(offset + rng.standard_normal((2000, k)))
+            assert (p >= 0.0).all()
+            assert float(np.max(np.abs(p.sum(axis=-1) - 1.0))) <= 4 * np.finfo(float).eps
+
     def test_box_projection_clips(self):
         dom = box01(2)
         np.testing.assert_allclose(dom.project([2.0, -1.0]), [1.0, 0.0])
